@@ -1,26 +1,32 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration benchmark binaries.
+ * Shared helpers for the figure-regeneration bench binaries.
  *
- * Each binary prints the paper-style series table(s) for its figure
- * panel group and registers one google-benchmark per data point whose
- * counters carry the measured value.  Simulations are deterministic,
- * so every benchmark runs a single iteration.
+ * Each binary runs its experiments from main(), prints the
+ * paper-style series table(s) for its figure panel group and, with
+ * `--json`, writes the same results as a machine-readable artifact.
+ * Simulations are deterministic, so every point runs once.
+ * parseArgs() is the one command-line parser of every binary; its
+ * rules are in docs/PERF.md.
  */
 
 #ifndef CSB_BENCH_COMMON_HH
 #define CSB_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -30,130 +36,173 @@
 namespace csb::bench {
 
 /**
- * Strip a `--jobs N` (or `--jobs=N`) argument before google-benchmark
- * sees argv, exactly like JsonReport strips `--json`.  Returns the
- * requested worker count for the binary's SweepRunner: 0 means auto
- * (one per hardware thread) and is the default, 1 is the exact serial
- * path.  Results are byte-identical for every value -- the runner
- * collects by point index -- so the flag only changes wall-clock.
+ * One command-line flag of a bench binary, given as `--name V` or
+ * `--name=V`; parseArgs() stores V through the pointer.
  */
-inline unsigned
-stripJobsFlag(int &argc, char **argv)
+struct Flag
 {
+    const char *name;
+    std::variant<std::string *, unsigned *, double *> value;
+};
+
+/** The flags every bench binary accepts. */
+struct BenchArgs
+{
+    /** `--json PATH`: also write a csbsim-bench-1 artifact there. */
+    std::string json;
+    /**
+     * `--jobs N`: worker count for the binary's SweepRunner.  0 (the
+     * default) means one per hardware thread, 1 is the exact serial
+     * path.  Results are byte-identical for every value -- the runner
+     * collects by point index -- so the flag only changes wall-clock.
+     */
     unsigned jobs = 0;
+};
+
+namespace detail {
+
+inline bool
+parseValue(const std::string &text, std::string *slot)
+{
+    *slot = text;
+    return true;
+}
+
+template <typename T>
+bool
+parseValue(const std::string &text, T *slot)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value))
+            return false;
+    }
+    *slot = value;
+    return true;
+}
+
+/** Print @p why and the usage line to stderr, then exit 2. */
+[[noreturn]] inline void
+usageError(const char *prog, const std::vector<Flag> &flags,
+           const std::string &why)
+{
+    // Indexed like the alternatives of Flag::value.
+    static const char *const meta[] = {"PATH", "N", "X"};
+    std::string usage = std::string("usage: ") + prog;
+    for (const Flag &flag : flags) {
+        usage += std::string(" [") + flag.name + " " +
+                 meta[flag.value.index()] + "]";
+    }
+    std::fprintf(stderr, "%s: %s\n%s\n", prog, why.c_str(),
+                 usage.c_str());
+    std::exit(2);
+}
+
+} // namespace detail
+
+/**
+ * Parse argv strictly against `--json`, `--jobs` and the binary's own
+ * @p extra flags.  Anything else -- an unknown flag or argument, a
+ * missing or empty value, a malformed number -- prints usage to
+ * stderr and exits 2, so a mistyped flag can never silently turn a
+ * gate off.
+ */
+inline BenchArgs
+parseArgs(int argc, char **argv, std::initializer_list<Flag> extra = {})
+{
+    BenchArgs args;
+    std::vector<Flag> flags = {{"--json", &args.json},
+                               {"--jobs", &args.jobs}};
+    flags.insert(flags.end(), extra);
+
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        int consumed = 0;
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = unsigned(std::strtoul(argv[i + 1], nullptr, 10));
-            consumed = 2;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = unsigned(std::strtoul(arg.c_str() + 7, nullptr, 10));
-            consumed = 1;
+        const std::string arg = argv[i];
+        const std::string name = arg.substr(0, arg.find('='));
+        auto flag = std::find_if(
+            flags.begin(), flags.end(),
+            [&](const Flag &f) { return name == f.name; });
+        if (flag == flags.end())
+            detail::usageError(argv[0], flags,
+                               "unknown argument '" + arg + "'");
+        // The space form never takes a following "-..." argument as
+        // its value: `--json --jobs 4` is a missing value, not a file.
+        std::string value;
+        if (name.size() < arg.size())
+            value = arg.substr(name.size() + 1);
+        else if (i + 1 < argc && argv[i + 1][0] != '-')
+            value = argv[++i];
+        if (value.empty()) {
+            detail::usageError(argv[0], flags,
+                               "missing value for " + name);
         }
-        if (consumed > 0) {
-            for (int j = i; j + consumed < argc; ++j)
-                argv[j] = argv[j + consumed];
-            argc -= consumed;
-            break;
+        auto parse = [&](auto *slot) {
+            return detail::parseValue(value, slot);
+        };
+        if (!std::visit(parse, flag->value)) {
+            detail::usageError(argv[0], flags,
+                               "bad value '" + value + "' for " + name);
         }
     }
-    return jobs;
+    return args;
 }
 
 /**
- * Trace capture/replay file arguments of a bench binary
- * (docs/TRACE_FORMAT.md).  Stripped before google-benchmark sees argv.
+ * Keep @p value observable so the optimiser cannot drop the timed
+ * work that produced it.  An empty asm barrier, the same one
+ * google-benchmark's DoNotOptimize emits on GCC, so it adds no work.
  */
-struct TraceFileFlags
+template <typename T>
+inline void
+keep(const T &value)
 {
-    /** `--trace-record PREFIX`: write point i to `PREFIX.<i>.csbt`. */
-    std::string record;
-    /** `--trace-replay PREFIX`: replay from `PREFIX.<i>.csbt` files. */
-    std::string replay;
-};
-
-/**
- * Strip `--trace-record PREFIX` / `--trace-replay PREFIX` (and their
- * `=`-joined forms).  Benches with trace support write every recorded
- * grid point to its own CSBT file, or feed the replay phase from
- * previously written files instead of in-memory streams, exercising
- * the on-disk round trip end to end.
- */
-inline TraceFileFlags
-stripTraceFlags(int &argc, char **argv)
-{
-    TraceFileFlags flags;
-    const std::pair<const char *, std::string *> known[] = {
-        {"--trace-record", &flags.record},
-        {"--trace-replay", &flags.replay},
-    };
-    for (int i = 1; i < argc;) {
-        std::string arg = argv[i];
-        int consumed = 0;
-        for (const auto &[name, slot] : known) {
-            std::string joined = std::string(name) + "=";
-            if (arg == name && i + 1 < argc) {
-                *slot = argv[i + 1];
-                consumed = 2;
-            } else if (arg.rfind(joined, 0) == 0) {
-                *slot = arg.substr(joined.size());
-                consumed = 1;
-            }
-        }
-        if (consumed == 0) {
-            ++i;
-            continue;
-        }
-        for (int j = i; j + consumed < argc; ++j)
-            argv[j] = argv[j + consumed];
-        argc -= consumed;
-    }
-    return flags;
+    if constexpr (std::is_trivially_copyable_v<T> &&
+                  sizeof(T) <= sizeof(T *))
+        asm volatile("" : : "r,m"(value) : "memory");
+    else
+        asm volatile("" : : "m"(value) : "memory");
 }
 
 /**
  * Machine-readable companion to the printed tables.
  *
- * Every bench binary owns one JsonReport.  It strips a `--json <path>`
- * (or `--json=<path>`) argument before google-benchmark sees argv;
- * when present, the destructor writes a `BENCH_<name>.json`-style
- * artifact with the structured series (`tables`) plus the exact text
- * the binary printed (`rendered`), which tools/regen_experiments
- * splices back into EXPERIMENTS.md.  Without `--json` the report only
- * forwards text to stdout.
+ * Every bench binary owns one JsonReport.  Given a `--json` path,
+ * finish() writes a `BENCH_<name>.json`-style artifact with the
+ * structured series (`tables`) plus the exact text the binary printed
+ * (`rendered`), which tools/regen_experiments splices back into
+ * EXPERIMENTS.md.  Without a path the report only forwards text to
+ * stdout.
  */
 class JsonReport
 {
   public:
-    JsonReport(int &argc, char **argv, std::string name)
-        : name_(std::move(name))
+    JsonReport(std::string name, std::string path)
+        : name_(std::move(name)), path_(std::move(path))
+    {}
+
+    /**
+     * Write the artifact (when a path was given) and return @p status
+     * for main() to exit with -- or 1 if the artifact could not be
+     * written, so a bad `--json` path never passes silently.
+     */
+    int
+    finish(int status = 0)
     {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            int consumed = 0;
-            if (arg == "--json" && i + 1 < argc) {
-                path_ = argv[i + 1];
-                consumed = 2;
-            } else if (arg.rfind("--json=", 0) == 0) {
-                path_ = arg.substr(7);
-                consumed = 1;
-            }
-            if (consumed > 0) {
-                for (int j = i; j + consumed < argc; ++j)
-                    argv[j] = argv[j + consumed];
-                argc -= consumed;
-                break;
-            }
+        if (path_.empty())
+            return status;
+        std::ofstream os(path_);
+        write(os);
+        os.close();
+        if (!os) {
+            std::fprintf(stderr, "cannot write --json file '%s'\n",
+                         path_.c_str());
+            return 1;
         }
+        return status;
     }
-
-    ~JsonReport() { write(); }
-
-    JsonReport(const JsonReport &) = delete;
-    JsonReport &operator=(const JsonReport &) = delete;
-
-    bool enabled() const { return !path_.empty(); }
 
     /**
      * Emit @p text to stdout and record it for the artifact.
@@ -266,16 +315,8 @@ class JsonReport
     };
 
     void
-    write()
+    write(std::ostream &os) const
     {
-        if (!enabled())
-            return;
-        std::ofstream os(path_);
-        if (!os.is_open()) {
-            std::fprintf(stderr, "cannot open --json file '%s'\n",
-                         path_.c_str());
-            return;
-        }
         sim::JsonWriter jw(os, 2);
         jw.beginObject();
         jw.kv("schema", "csbsim-bench-1");
@@ -327,38 +368,12 @@ class JsonReport
     std::vector<std::pair<std::string, double>> scorecard_;
 };
 
-/** Register one benchmark per (scheme, size) point of a sweep. */
-inline void
-registerBandwidthPanel(const std::string &panel,
-                       const core::BandwidthSetup &setup)
-{
-    using core::Scheme;
-    for (Scheme scheme : core::schemesForLine(setup.lineBytes)) {
-        for (unsigned size : core::defaultTransferSizes()) {
-            std::string name =
-                panel + "/" + core::schemeName(scheme) + "/" +
-                std::to_string(size) + "B";
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [setup, scheme, size](benchmark::State &state) {
-                    double bw = 0;
-                    for (auto _ : state) {
-                        bw = core::measureStoreBandwidth(setup, scheme,
-                                                         size);
-                    }
-                    state.counters["bytes_per_bus_cycle"] = bw;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
 /**
  * Run, print and record the full sweep table for one panel.  The grid
  * points execute through @p runner's workers; rendering and the
  * JsonReport stay on the calling thread.
  */
-inline core::BandwidthSweep
+inline void
 printBandwidthPanel(JsonReport &report, core::SweepRunner &runner,
                     const std::string &title,
                     const core::BandwidthSetup &setup)
@@ -370,11 +385,10 @@ printBandwidthPanel(JsonReport &report, core::SweepRunner &runner,
     core::printSweep(sweep, os);
     report.print(os.str());
     report.addSweep(sweep);
-    return sweep;
 }
 
 /** Run, print and record one figure-5 latency panel. */
-inline core::LatencySweep
+inline void
 printLatencyPanel(JsonReport &report, core::SweepRunner &runner,
                   const std::string &title,
                   const core::BandwidthSetup &setup, bool lock_miss)
@@ -385,7 +399,6 @@ printLatencyPanel(JsonReport &report, core::SweepRunner &runner,
     core::printLatencySweep(sweep, os);
     report.print(os.str());
     report.addLatencySweep(sweep);
-    return sweep;
 }
 
 /** Multiplexed-bus setup shorthand. */

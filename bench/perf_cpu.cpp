@@ -34,7 +34,6 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "core/system.hh"
 #include "cpu/interpreter.hh"
@@ -222,24 +221,13 @@ main(int argc, char **argv)
 {
     using namespace csb::bench;
 
-    // Strip --min-cpu-speedup=N before google-benchmark sees argv.
-    double min_speedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--min-cpu-speedup=", 0) == 0) {
-            min_speedup = std::atof(arg.c_str() + 18);
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
-
     // --jobs is accepted for CLI uniformity (regen passes it to every
     // bench) but the kernels are timed serially on purpose: competing
     // workers would corrupt the wall-clock comparison.
-    (void)stripJobsFlag(argc, argv);
-    JsonReport report(argc, argv, "perf_cpu");
+    double min_speedup = 0.0;
+    BenchArgs args =
+        parseArgs(argc, argv, {{"--min-cpu-speedup", &min_speedup}});
+    JsonReport report("perf_cpu", args.json);
 
     std::vector<Kernel> kernels;
     kernels.push_back(aluBranchKernel(600'000));
@@ -337,12 +325,12 @@ main(int argc, char **argv)
     if (!all_identical) {
         std::fprintf(stderr, "FAIL: translated dispatch diverged from "
                              "the interpreter\n");
-        return 1;
+        return report.finish(1);
     }
     if (sys_ff.fastForwarded == 0) {
         std::fprintf(stderr, "FAIL: core fast-forward never engaged "
                              "on the mixed kernel\n");
-        return 1;
+        return report.finish(1);
     }
 
     if (min_speedup > 0) {
@@ -357,24 +345,9 @@ main(int argc, char **argv)
                          "FAIL: alu_branch translated speedup %.2fx "
                          "below required %.2fx\n",
                          alu_speedup, min_speedup);
-            return 1;
+            return report.finish(1);
         }
     }
 
-    for (const Kernel &kernel : kernels) {
-        std::string name = std::string("Cpu/") + kernel.name;
-        benchmark::RegisterBenchmark(
-            name.c_str(), [&kernel](benchmark::State &state) {
-                InterpResult r;
-                for (auto _ : state)
-                    r = runInterpreted(kernel, true);
-                state.counters["insts_per_sec"] =
-                    r.seconds > 0 ? double(r.insts) / r.seconds : 0;
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }
