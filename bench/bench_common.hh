@@ -6,8 +6,9 @@
  * paper-style series table(s) for its figure panel group and, with
  * `--json`, writes the same results as a machine-readable artifact.
  * Simulations are deterministic, so every point runs once.
- * parseArgs() is the one command-line parser of every binary; its
- * rules are in docs/PERF.md.
+ * parseArgs() is the one command-line parser of every binary, and
+ * bestSecondsPerCall() the one timing rule of the wall-clock gates;
+ * both are described in docs/PERF.md.
  */
 
 #ifndef CSB_BENCH_COMMON_HH
@@ -15,11 +16,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
 #include <sstream>
@@ -164,6 +167,60 @@ keep(const T &value)
         asm volatile("" : : "r,m"(value) : "memory");
     else
         asm volatile("" : : "m"(value) : "memory");
+}
+
+/** Wall-clock seconds since @p t0. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** Each timed run repeats its work until it has lasted this long. */
+constexpr double kMinTimedSeconds = 0.25;
+/** Timed runs per side; the fastest counts. */
+constexpr int kTimedRuns = 3;
+
+/**
+ * One timed run: call @p work until @p min_seconds have passed, so
+ * no run is too short to time against start-up cost and neighbouring
+ * load.  @return the seconds per call.
+ */
+template <typename Work>
+double
+secondsPerCall(Work &&work, double min_seconds = kMinTimedSeconds)
+{
+    unsigned calls = 0;
+    double elapsed = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    do {
+        work();
+        ++calls;
+        elapsed = secondsSince(t0);
+    } while (elapsed < min_seconds);
+    return elapsed / calls;
+}
+
+/**
+ * The timing rule of the wall-clock gates: each side is the best of
+ * kTimedRuns secondsPerCall() runs, and the runs of all sides are
+ * interleaved so that a slow spell of the host hits every side alike.
+ * @return the best seconds per call of each side, in order.
+ */
+inline std::vector<double>
+bestSecondsPerCall(std::initializer_list<std::function<void()>> sides)
+{
+    std::vector<double> best(sides.size(), 1e30);
+    for (int run = 0; run < kTimedRuns; ++run) {
+        std::size_t i = 0;
+        for (const std::function<void()> &side : sides) {
+            best[i] = std::min(best[i], secondsPerCall(side));
+            ++i;
+        }
+    }
+    return best;
 }
 
 /**

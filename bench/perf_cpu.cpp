@@ -1,8 +1,9 @@
 /**
  * @file
  * CPU-dispatch microbenchmark: the basic-block translation cache
- * (cpu/translator.hh) against the legacy switch-dispatch interpreter,
- * plus the cycle-level core's translated fast-forward mode.
+ * (cpu/translator.hh) against the switch dispatch of the sequential
+ * reference executor, plus the cycle-level core's translated
+ * fast-forward mode.
  *
  * Three kernels stress the dispatch paths differently:
  *  - alu_branch: a tight pure-compute loop (one long basic block per
@@ -14,43 +15,31 @@
  *  - mixed: compute bursts between loads/stores/marks, the shape of a
  *    real workload.
  *
- * Every kernel is run interpreted and translated and the results --
- * final architectural state, instruction count, marks -- must be
- * bit-identical, or the binary exits non-zero.  The printed tables
- * contain only deterministic quantities (kernel shapes, instruction
- * counts, verdicts, cycle-model tick counts); wall-clock seconds and
- * the measured speedups are machine-dependent and go to stderr and
+ * Every kernel is run interpreted (switch dispatch) and translated,
+ * each timed as the best of three runs of >= 0.25 s
+ * (bestSecondsPerCall()), and the results -- final architectural
+ * state, instruction count, marks -- must be bit-identical, or the
+ * binary exits non-zero.  The printed tables contain only
+ * deterministic quantities (kernel shapes, instruction counts,
+ * verdicts, cycle-model tick counts); wall-clock seconds and the
+ * measured speedups are machine-dependent and go to stderr and
  * nowhere else, so the artifact is byte-identical across hosts and
  * --jobs values (bench_jobs_identical_cpu compares the JSON bytes).
  *
  * `--min-cpu-speedup=N` turns the alu_branch measurement into the
  * bench_cpu_smoke regression gate: exit non-zero unless translated
- * dispatch beats the interpreter by at least N x.  When the
- * interpreted baseline is too short to time reliably (a constrained
- * or heavily loaded host), the gate prints SKIP and passes, mirroring
- * bench_sweep_smoke.
+ * dispatch beats switch dispatch by at least N x.
  */
 
 #include "bench_common.hh"
 
-#include <chrono>
-
 #include "core/system.hh"
-#include "cpu/interpreter.hh"
-#include "mem/physical_memory.hh"
+#include "cpu/reference_executor.hh"
 
 namespace {
 
 using namespace csb;
 using isa::ir;
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Cached scratch area (same region the litmus arenas use). */
 constexpr Addr kArenaBase = 0x8000;
@@ -151,28 +140,22 @@ mixedKernel(std::int64_t iters)
     return k;
 }
 
-/** Outcome of one interpreter run. */
+/** Outcome of one functional run. */
 struct InterpResult
 {
     cpu::ArchState state;
     std::vector<std::int64_t> marks;
     std::uint64_t insts = 0;
-    double seconds = 0;
 };
 
 InterpResult
 runInterpreted(const Kernel &kernel, bool translate)
 {
-    mem::PhysicalMemory memory;
-    cpu::Interpreter interp(kernel.program, memory);
-    interp.setTranslate(translate);
-    auto t0 = std::chrono::steady_clock::now();
-    InterpResult r;
-    r.state = interp.run(std::uint64_t(-1));
-    r.seconds = secondsSince(t0);
-    r.marks = interp.marks();
-    r.insts = interp.instsExecuted();
-    return r;
+    cpu::ReferenceExecutor executor;
+    executor.setTranslate(translate);
+    executor.addContext(&kernel.program, /*pid=*/0);
+    executor.run(std::uint64_t(-1));
+    return {executor.state(0), executor.marks(0), executor.steps(0)};
 }
 
 bool
@@ -247,27 +230,18 @@ main(int argc, char **argv)
                       {"static_insts", "dynamic_insts", "identical"});
 
     bool all_identical = true;
-    double alu_speedup = 0, alu_base_s = 0;
+    double alu_speedup = 0;
     for (const Kernel &kernel : kernels) {
-        // Best-of-3 keeps the gate stable against scheduler noise.
         InterpResult plain, translated;
-        for (int rep = 0; rep < 3; ++rep) {
-            InterpResult p = runInterpreted(kernel, false);
-            InterpResult t = runInterpreted(kernel, true);
-            if (rep == 0 || p.seconds < plain.seconds)
-                plain = std::move(p);
-            if (rep == 0 || t.seconds < translated.seconds)
-                translated = std::move(t);
-        }
+        std::vector<double> best = bestSecondsPerCall(
+            {[&] { plain = runInterpreted(kernel, false); },
+             [&] { translated = runInterpreted(kernel, true); }});
+        double plain_s = best[0], translated_s = best[1];
         bool identical = sameResult(plain, translated);
         all_identical = all_identical && identical;
-        double speedup = translated.seconds > 0
-                             ? plain.seconds / translated.seconds
-                             : 0;
-        if (std::string(kernel.name) == "alu_branch") {
+        double speedup = plain_s / translated_s;
+        if (std::string(kernel.name) == "alu_branch")
             alu_speedup = speedup;
-            alu_base_s = plain.seconds;
-        }
         report.printf("%-12s %8zu static, %10llu dynamic insts, "
                       "translated == interpreted: %s\n",
                       kernel.name, kernel.program.size(),
@@ -279,8 +253,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "%s: interpreted %.3f s, translated %.3f s -> "
                      "%.2fx\n",
-                     kernel.name, plain.seconds, translated.seconds,
-                     speedup);
+                     kernel.name, plain_s, translated_s, speedup);
     }
 
     // Cycle model: off vs core-fastforward on the mixed kernel.  Tick
@@ -324,7 +297,7 @@ main(int argc, char **argv)
 
     if (!all_identical) {
         std::fprintf(stderr, "FAIL: translated dispatch diverged from "
-                             "the interpreter\n");
+                             "switch dispatch\n");
         return report.finish(1);
     }
     if (sys_ff.fastForwarded == 0) {
@@ -333,20 +306,12 @@ main(int argc, char **argv)
         return report.finish(1);
     }
 
-    if (min_speedup > 0) {
-        if (alu_base_s < 0.05) {
-            std::fprintf(stderr,
-                         "SKIP: cpu-speedup gate needs an interpreted "
-                         "baseline >= 0.05 s to time reliably (got "
-                         "%.3f s on this host)\n",
-                         alu_base_s);
-        } else if (alu_speedup < min_speedup) {
-            std::fprintf(stderr,
-                         "FAIL: alu_branch translated speedup %.2fx "
-                         "below required %.2fx\n",
-                         alu_speedup, min_speedup);
-            return report.finish(1);
-        }
+    if (min_speedup > 0 && alu_speedup < min_speedup) {
+        std::fprintf(stderr,
+                     "FAIL: alu_branch translated speedup %.2fx below "
+                     "required %.2fx\n",
+                     alu_speedup, min_speedup);
+        return report.finish(1);
     }
 
     return report.finish();

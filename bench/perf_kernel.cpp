@@ -30,6 +30,7 @@ namespace {
 
 using csb::Tick;
 using csb::maxTick;
+using csb::bench::secondsSince;
 
 // ---------------------------------------------------------------------
 // Pre-fix kernel, reproduced verbatim in behaviour: nextTick() copies
@@ -180,14 +181,6 @@ class LegacyEventQueue
 // ---------------------------------------------------------------------
 // Workloads, templated so both kernels run the identical sequence.
 // ---------------------------------------------------------------------
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Schedule/fire throughput: batches of short-range callbacks. */
 template <typename Queue>

@@ -8,8 +8,9 @@
  * The printed tables contain only deterministic quantities (bandwidth,
  * quiescence ticks, bus cycles, trace record counts and the identity
  * verdict), so the EXPERIMENTS.md splice stays byte-identical across
- * machines.  Wall-clock numbers go to the JSON artifact's tables and
- * to stderr.
+ * machines.  Wall-clock numbers -- seconds per grid pass, timed by
+ * bestSecondsPerCall() -- go to the JSON artifact's tables and to
+ * stderr.
  *
  * The identity check doubles as the replay regression gate:
  * `--min-replay-speedup=N` makes the binary exit non-zero unless
@@ -25,7 +26,6 @@
 #include "bench_common.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "sim/trace_recorder.hh"
 
@@ -89,14 +89,6 @@ sameRun(const core::TracedRun &a, const core::TracedRun &b)
            a.ioWriteTxns == b.ioWriteTxns &&
            a.bytesPerBusCycle == b.bytesPerBusCycle &&
            a.memStatsJson == b.memStatsJson;
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 } // namespace
@@ -169,29 +161,26 @@ main(int argc, char **argv)
                          : "DIFFER");
     }
 
-    // Phase 2 -- wall-clock.  Serial regardless of --jobs (concurrent
-    // workloads would time each other's noise); best of kRepeats full
-    // grid passes per mode.
-    constexpr int kRepeats = 3;
-    double live_s = 1e30, replay_s = 1e30;
-    for (int r = 0; r < kRepeats; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
+    // Phase 2 -- wall-clock per grid pass, by the gates' timing rule.
+    // Serial regardless of --jobs: concurrent workloads would time
+    // each other's noise.
+    auto live_pass = [&] {
         for (const GridPoint &point : grid) {
             keep(core::recordStoreBandwidth(
                 setup, point.scheme, point.bytes, nullptr,
                 point.aluPerStore));
         }
-        live_s = std::min(live_s, secondsSince(t0));
-
-        t0 = std::chrono::steady_clock::now();
+    };
+    auto replay_pass = [&] {
         for (std::size_t i = 0; i < grid.size(); ++i) {
             keep(core::replayStoreBandwidth(
                 setup, grid[i].scheme, grid[i].bytes,
                 results[i].trace));
         }
-        replay_s = std::min(replay_s, secondsSince(t0));
-    }
-    double speedup = replay_s > 0 ? live_s / replay_s : 0.0;
+    };
+    std::vector<double> best = bestSecondsPerCall({live_pass, replay_pass});
+    double live_s = best[0], replay_s = best[1];
+    double speedup = live_s / replay_s;
 
     // Deterministic text only: the per-point surfaces and the identity
     // verdict, never wall-clock.

@@ -23,21 +23,11 @@
 
 #include "bench_common.hh"
 
-#include <chrono>
-
 #include "sim/thread_pool.hh"
 
 namespace {
 
 using namespace csb;
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** The grid: every scheme x transfer size at three CPU:bus ratios. */
 struct GridPoint
@@ -62,16 +52,12 @@ buildGrid()
     return grid;
 }
 
-/** Each timed run repeats the grid until it has lasted this long. */
-constexpr double kMinTimedSeconds = 0.25;
 /**
  * The untimed pooled warm-up lasts this long: on a virtual machine
  * that was idle, four busy threads can get one CPU's worth of time
  * for the first ~1-1.5 s before the host supplies the other cores.
  */
 constexpr double kWarmupSeconds = 1.5;
-/** Timed runs per side; the fastest counts. */
-constexpr int kRepeats = 3;
 
 std::vector<double>
 runGrid(core::SweepRunner &runner, const std::vector<GridPoint> &grid)
@@ -80,31 +66,6 @@ runGrid(core::SweepRunner &runner, const std::vector<GridPoint> &grid)
         return core::measureStoreBandwidth(point.setup, point.scheme,
                                            point.size);
     });
-}
-
-/**
- * One timed run on @p runner: the grid repeats until @p min_seconds
- * have passed (one pass takes ~20 ms serially, too short to time
- * against pool start-up and neighbouring load).  Returns the seconds
- * per pass.  Every pass must reproduce @p expected exactly, else
- * @p identical turns false.
- */
-double
-secondsPerPass(core::SweepRunner &runner,
-               const std::vector<GridPoint> &grid,
-               const std::vector<double> &expected, bool &identical,
-               double min_seconds = kMinTimedSeconds)
-{
-    unsigned passes = 0;
-    double elapsed = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    do {
-        if (runGrid(runner, grid) != expected)
-            identical = false;
-        ++passes;
-        elapsed = secondsSince(t0);
-    } while (elapsed < min_seconds);
-    return elapsed / passes;
 }
 
 } // namespace
@@ -126,19 +87,20 @@ main(int argc, char **argv)
     core::SweepRunner pool(jobs);
     const std::vector<double> expected = runGrid(serial, grid);
 
+    // One pass of the grid takes ~20 ms serially; bestSecondsPerCall()
+    // repeats it.  Every pass must reproduce the serial reference.
     bool identical = true;
+    auto pass = [&](core::SweepRunner &runner) {
+        if (runGrid(runner, grid) != expected)
+            identical = false;
+    };
+    auto serial_pass = [&] { pass(serial); };
+    auto pooled_pass = [&] { pass(pool); };
     if (jobs > 1)
-        secondsPerPass(pool, grid, expected, identical, kWarmupSeconds);
-
-    // Best of kRepeats runs per side, interleaved so that a slow spell
-    // of the host hits both sides alike.
-    double serial_s = 1e30, parallel_s = 1e30;
-    for (int r = 0; r < kRepeats; ++r) {
-        serial_s = std::min(
-            serial_s, secondsPerPass(serial, grid, expected, identical));
-        parallel_s = std::min(
-            parallel_s, secondsPerPass(pool, grid, expected, identical));
-    }
+        secondsPerCall(pooled_pass, kWarmupSeconds);
+    std::vector<double> best =
+        bestSecondsPerCall({serial_pass, pooled_pass});
+    double serial_s = best[0], parallel_s = best[1];
     double speedup = serial_s / parallel_s;
 
     // Deterministic text only: the grid shape and the determinism
@@ -163,7 +125,7 @@ main(int argc, char **argv)
                  "sweep: %zu points, best of %d runs of >= %.2f s: "
                  "serial %.4f s/pass, %u-worker pool %.4f s/pass -> "
                  "speedup %.2fx\n",
-                 grid.size(), kRepeats, kMinTimedSeconds, serial_s, jobs,
+                 grid.size(), kTimedRuns, kMinTimedSeconds, serial_s, jobs,
                  parallel_s, speedup);
 
     report.beginTable("Sweep wall-clock per grid pass on this machine "

@@ -258,8 +258,6 @@ System::buildCoreSlice(unsigned cpu)
     ports.memory = &physMem_;
     slice.core = std::make_unique<cpu::Core>(sim_, config_.core, ports,
                                              "cpu" + suffix, this);
-    // Interpreter mode only concerns the functional engines; a System
-    // reacts to CoreFastForward alone.
     if (config_.cpu.translate == cpu::TranslateMode::CoreFastForward)
         slice.core->enableFastForward(config_.cpu);
 }

@@ -61,8 +61,8 @@ struct ArchState
  *
  * Defined inline so the translated fast path (cpu/translator.hh) can
  * instantiate it with a compile-time opcode: the switch folds away and
- * each micro-op handler becomes straight-line code, while the
- * interpreter, the core and the reference executor keep calling it
+ * each micro-op handler becomes straight-line code, while the core
+ * and the reference executor keep calling it
  * with a runtime opcode.  One definition serves every execution
  * engine -- the differential tests depend on that.
  *

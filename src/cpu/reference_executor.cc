@@ -41,8 +41,12 @@ ReferenceExecutor::addContext(const isa::Program *program, ProcId pid,
 void
 ReferenceExecutor::run(std::uint64_t max_steps_per_context)
 {
-    for (Context &ctx : contexts_)
-        runContext(ctx, max_steps_per_context);
+    for (Context &ctx : contexts_) {
+        if (traceRec_)
+            runContext<true>(ctx, max_steps_per_context);
+        else
+            runContext<false>(ctx, max_steps_per_context);
+    }
 }
 
 std::uint64_t
@@ -115,18 +119,46 @@ ReferenceExecutor::csbFlush(CsbUnit &unit, ProcId pid, Addr addr,
     return match;
 }
 
+template <bool HasTrace>
 void
 ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
 {
-    ArchState &state = ctx.state;
-    const isa::Program &program = *ctx.program;
+    // A local copy, written back on both exits: it lets the compiler
+    // keep pc and halted in registers across the dispatch loop.
+    ArchState state = ctx.state;
     CsbUnit &csb = units_.at(ctx.csbUnit);
+    const auto cpu = std::uint8_t(ctx.csbUnit);
 
     Translator xlat;
     if (translate_)
         xlat.setProgram(ctx.program);
 
-    std::uint64_t steps = 0;
+    // One bounds-validated raw span instead of a per-step
+    // program.at(): the pc assert below keeps the out-of-range
+    // diagnostic, without the extra at() range check per step.
+    const isa::Instruction *code = ctx.program->code().data();
+    const std::uint64_t code_size = ctx.program->size();
+
+    std::uint64_t steps = ctx.steps;
+    // The trace records below sit under `if constexpr`, so the
+    // untraced instantiation carries no recorder test at all.
+    auto record = [&](sim::TraceOp op, PageAttr attr, Addr addr,
+                      unsigned bytes, std::uint64_t value,
+                      std::uint8_t flags = 0) {
+        sim::TraceRecord r;
+        r.tick = steps - 1;
+        r.addr = addr;
+        r.value = value;
+        r.pid = state.pid;
+        r.op = op;
+        r.cpu = cpu;
+        r.size = std::uint8_t(bytes);
+        r.flags = std::uint8_t(
+            sim::TraceFlagInterpreter | flags |
+            (std::uint8_t(attr) << sim::TraceFlagAttrShift));
+        traceRec_->append(r);
+    };
+
     while (!state.halted) {
         if (translate_) {
             // Translated fast path between memory-system events.  Its
@@ -135,14 +167,17 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
             // below still fires at the identical instruction count.
             steps += xlat.run(state, max_steps - steps, ctx.marks);
         }
-        if (steps++ >= max_steps) {
+        if (steps >= max_steps) {
+            ctx.state = state;
+            ctx.steps = steps;
             csb_fatal("reference executor: context pid=", state.pid,
                       " exceeded ", max_steps,
                       " steps without halting");
         }
-        csb_assert(state.pc < program.size(),
+        csb_assert(state.pc < code_size,
                    "reference executor fell off the program");
-        const isa::Instruction &inst = program.at(state.pc);
+        const isa::Instruction &inst = code[state.pc];
+        ++steps;
         std::uint64_t next_pc = state.pc + 1;
 
         switch (inst.instClass()) {
@@ -169,11 +204,18 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
             unsigned size = isa::accessSize(inst.op);
             csb_assert(addr % size == 0, "reference: misaligned load");
             std::uint64_t bits = 0;
-            if (pageTable_.attrOf(addr) == PageAttr::Cached)
+            PageAttr attr = pageTable_.attrOf(addr);
+            if (attr == PageAttr::Cached)
                 memory_.read(addr, &bits, size);
             // Uncached loads are device register reads; with no
             // registers programmed they return zero (writes are
             // logged, never reflected back -- io::BurstDevice).
+            if constexpr (HasTrace) {
+                record(attr == PageAttr::Cached
+                           ? sim::TraceOp::CachedLoad
+                           : sim::TraceOp::UncachedLoad,
+                       attr, addr, size, bits);
+            }
             state.writeReg(inst.rd, bits);
             break;
           }
@@ -183,14 +225,23 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
             unsigned size = isa::accessSize(inst.op);
             csb_assert(addr % size == 0, "reference: misaligned store");
             std::uint64_t bits = state.readReg(inst.rs2);
-            switch (pageTable_.attrOf(addr)) {
+            switch (PageAttr attr = pageTable_.attrOf(addr)) {
               case PageAttr::Cached:
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::CachedStore, attr, addr, size,
+                           bits);
                 memory_.write(addr, &bits, size);
                 break;
               case PageAttr::UncachedCombining:
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::CsbStore, attr, addr, size,
+                           bits);
                 csbStore(csb, state.pid, addr, size, bits);
                 break;
               default:
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::UncachedStore, attr, addr,
+                           size, bits);
                 foldIoWrite(ctx, addr, size, bits);
                 break;
             }
@@ -203,8 +254,11 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
             csb_assert(addr % size == 0, "reference: misaligned swap");
             std::uint64_t nv = state.readReg(inst.rd);
             std::uint64_t result = 0;
-            switch (pageTable_.attrOf(addr)) {
+            switch (PageAttr attr = pageTable_.attrOf(addr)) {
               case PageAttr::Cached:
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::SwapMemWrite, attr, addr, size,
+                           nv, sim::TraceFlagSwap);
                 memory_.read(addr, &result, size);
                 memory_.write(addr, &nv, size);
                 break;
@@ -212,11 +266,17 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
                 // Conditional flush: rd carries the expected hit
                 // count in, and reads back unchanged on success,
                 // zero on failure (section 3.2).
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::CsbFlush, attr, addr, size, nv,
+                           sim::TraceFlagSwap);
                 result = csbFlush(csb, state.pid, addr, nv) ? nv : 0;
                 break;
               default:
                 // Plain uncached swap: the old value is a device
                 // register read (zero), the new value a logged write.
+                if constexpr (HasTrace)
+                    record(sim::TraceOp::UncachedStore, attr, addr,
+                           size, nv, sim::TraceFlagSwap);
                 foldIoWrite(ctx, addr, size, nv);
                 break;
             }
@@ -225,6 +285,8 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
           }
           case InstClass::Membar:
             // Sequential execution is already strongly ordered.
+            if constexpr (HasTrace)
+                record(sim::TraceOp::Membar, PageAttr::Cached, 0, 0, 0);
             break;
           case InstClass::Branch: {
             bool taken = evalBranch(inst.op, state.readReg(inst.rs1),
@@ -236,6 +298,8 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
         }
         state.pc = next_pc;
     }
+    ctx.state = state;
+    ctx.steps = steps;
 }
 
 } // namespace csb::cpu

@@ -10,8 +10,10 @@
  * programmed), and uncached-combining space hits a functional
  * conditional store buffer with the paper's combine/flush rules.
  *
- * This is the oracle of the litmus harness (docs/LITMUS.md) and of
- * tests/cpu/test_differential: by the store-buffer reduction theorem
+ * This is csbsim's one definition of sequential semantics: the oracle
+ * of the litmus harness (docs/LITMUS.md) and of
+ * tests/cpu/test_differential, and the functional engine perf_cpu
+ * times.  By the store-buffer reduction theorem
  * (Cohen & Schirmer, PAPERS.md), any program whose contexts touch
  * disjoint data must produce exactly this final state on the full
  * cycle model, no matter how the pipeline, the uncached buffer, the
@@ -31,6 +33,7 @@
 #include "isa/program.hh"
 #include "mem/page_table.hh"
 #include "mem/physical_memory.hh"
+#include "sim/trace_recorder.hh"
 
 namespace csb::cpu {
 
@@ -82,7 +85,9 @@ class ReferenceExecutor
      * Run every context to completion, in registration order.  Throws
      * FatalError when a context exceeds @p max_steps_per_context --
      * the generator only emits terminating programs, so hitting the
-     * cap means the program (or this model) is broken.
+     * cap means the program (or this model) is broken.  The failing
+     * context stops after exactly that many instructions, so its
+     * state(), steps() and marks() show where it got to.
      */
     void run(std::uint64_t max_steps_per_context = 1'000'000);
 
@@ -93,6 +98,20 @@ class ReferenceExecutor
      * runaway-cap step accounting are bit-identical either way.
      */
     void setTranslate(bool on) { translate_ = on; }
+
+    /**
+     * Record every memory reference into @p recorder, flagged
+     * TraceFlagInterpreter, with the context's step index as the tick
+     * (this model has no clock) and its CSB unit as the cpu.  The op
+     * and the attr bits follow the page attribute.  Such traces
+     * document the sequential reference stream; they are not
+     * replayable (docs/TRACE_FORMAT.md).
+     */
+    void
+    setTraceRecorder(sim::TraceRecorder *recorder)
+    {
+        traceRec_ = recorder;
+    }
 
     std::size_t numContexts() const { return contexts_.size(); }
 
@@ -129,6 +148,13 @@ class ReferenceExecutor
     /** Successful conditional flushes charged to CSB @p unit. */
     std::uint64_t csbFlushesSucceeded(unsigned unit) const;
 
+    /** Instructions context @p ctx has executed. */
+    std::uint64_t
+    steps(std::size_t ctx) const
+    {
+        return contexts_.at(ctx).steps;
+    }
+
     /** Mark ids recorded by context @p ctx, in commit order. */
     const std::vector<std::int64_t> &
     marks(std::size_t ctx) const
@@ -155,8 +181,10 @@ class ReferenceExecutor
         unsigned csbUnit = 0;
         std::vector<RefIoWrite> ioWrites;
         std::vector<std::int64_t> marks;
+        std::uint64_t steps = 0;
     };
 
+    template <bool HasTrace>
     void runContext(Context &ctx, std::uint64_t max_steps);
     void csbStore(CsbUnit &unit, ProcId pid, Addr addr, unsigned size,
                   std::uint64_t bits);
@@ -167,6 +195,7 @@ class ReferenceExecutor
 
     RefCsbModel csbModel_;
     bool translate_ = false;
+    sim::TraceRecorder *traceRec_ = nullptr;
     mem::PageTable pageTable_;
     mem::PhysicalMemory memory_;
     std::map<Addr, std::uint8_t> ioImage_;

@@ -9,30 +9,6 @@ namespace csb::cpu {
 using isa::InstClass;
 using isa::Opcode;
 
-const char *
-translateModeName(TranslateMode mode)
-{
-    switch (mode) {
-      case TranslateMode::Off: return "off";
-      case TranslateMode::Interpreter: return "interpreter";
-      case TranslateMode::CoreFastForward: return "core-fastforward";
-    }
-    return "?";
-}
-
-TranslateMode
-parseTranslateMode(const std::string &text)
-{
-    if (text == "off")
-        return TranslateMode::Off;
-    if (text == "interpreter")
-        return TranslateMode::Interpreter;
-    if (text == "core-fastforward")
-        return TranslateMode::CoreFastForward;
-    csb_fatal("unknown cpu.translate mode '", text,
-              "' (off|interpreter|core-fastforward)");
-}
-
 void
 TranslateConfig::validate() const
 {
@@ -266,7 +242,7 @@ done:
     if (!terminated) {
         // Ended at a boundary instruction or the program's end: a
         // synthetic terminator parks the pc there for the slow path
-        // (which re-raises the interpreter's fell-off-the-program
+        // (which re-raises the executor's fell-off-the-program
         // assert if pc == size, exactly as before).
         MicroOp op;
         op.fn = &endStep;

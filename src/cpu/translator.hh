@@ -15,13 +15,13 @@
  * pcs predecoded) and *before* anything the cycle-level machinery must
  * see: loads, stores, SWAP, MEMBAR, Halt and the end of the program.
  * At such a boundary run() returns with state.pc parked on the
- * boundary instruction and the caller's existing path (Interpreter
- * slow step, ReferenceExecutor slow step, or the cycle-level Core
- * pipeline) takes over, so timing, the CSB commit point, fault
- * injection and TraceRecorder semantics are untouched -- the
- * store-buffer reduction theorem (PAPERS.md) is exactly the statement
- * that program-order execution between memory-system events is
- * equivalent to the interleaved cycle-level execution.
+ * boundary instruction and the caller's existing path (the
+ * ReferenceExecutor slow step or the cycle-level Core pipeline) takes
+ * over, so timing, the CSB commit point, fault injection and
+ * TraceRecorder semantics are untouched -- the store-buffer reduction
+ * theorem (PAPERS.md) is exactly the statement that program-order
+ * execution between memory-system events is equivalent to the
+ * interleaved cycle-level execution.
  *
  * The block cache is keyed by entry pc (a dense lazy vector -- any pc
  * can start a block, branches into the middle of an existing block
@@ -30,16 +30,15 @@
  *
  * Budget semantics are exact: run(state, max_steps) only *enters* a
  * block whose full architectural length fits in the remaining budget
- * and returns the count executed, so callers that meter instructions
- * (Interpreter::run's max_steps, ReferenceExecutor's runaway cap)
- * observe bit-identical step accounting with translation on or off.
+ * and returns the count executed, so a caller that meters
+ * instructions (ReferenceExecutor's runaway cap and steps()) observes
+ * bit-identical step accounting with translation on or off.
  */
 
 #ifndef CSB_CPU_TRANSLATOR_HH
 #define CSB_CPU_TRANSLATOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "arch_state.hh"
@@ -47,21 +46,19 @@
 
 namespace csb::cpu {
 
-/** Where the translated fast path is allowed to run. */
+/**
+ * Whether the cycle model uses the translated fast path.  The
+ * functional ReferenceExecutor takes setTranslate(bool) instead.
+ */
 enum class TranslateMode : std::uint8_t {
-    Off,              ///< every engine keeps its legacy dispatch
-    Interpreter,      ///< functional engines only (Interpreter,
-                      ///< ReferenceExecutor); cycle model untouched
-    CoreFastForward,  ///< cycle-level cores additionally fast-forward
-                      ///< through long translated blocks (documented
-                      ///< approximate-timing mode, docs/PERF.md)
+    Off = 0,              ///< cycle-level cores keep their pipeline
+    CoreFastForward = 2,  ///< cycle-level cores fast-forward through
+                          ///< long translated blocks (documented
+                          ///< approximate-timing mode, docs/PERF.md)
 };
-
-/** @return "off" / "interpreter" / "core-fastforward". */
-const char *translateModeName(TranslateMode mode);
-
-/** Parse translateModeName() spellings; FatalError on anything else. */
-TranslateMode parseTranslateMode(const std::string &text);
+// Pinned: the value is the checkpoint fingerprint's cpuTranslate
+// entry, so checkpoints taken with fast-forward on keep restoring.
+static_assert(static_cast<int>(TranslateMode::CoreFastForward) == 2);
 
 /** Translated-dispatch knobs, embedded as SystemConfig::cpu. */
 struct TranslateConfig

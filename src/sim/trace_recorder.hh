@@ -3,7 +3,7 @@
  * Memory-reference trace capture and the CSBT on-disk format.
  *
  * A TraceRecorder collects every data reference the core (or the
- * reference interpreter) issues to the memory system -- tick, cpu,
+ * sequential reference executor) issues to the memory system -- tick, cpu,
  * context, operation, address, size, data value and phase flags -- in
  * issue order, and serializes the stream to the versioned little-endian
  * binary format specified normatively in docs/TRACE_FORMAT.md
@@ -63,14 +63,14 @@ enum TraceFlags : std::uint8_t {
     /** Bits 2-3 carry the mem::PageAttr of the referenced page. */
     TraceFlagAttrShift = 2,
     TraceFlagAttrMask = 0x3u << TraceFlagAttrShift,
-    /** Recorded by the reference interpreter (tick = step index). */
+    /** Recorded by the reference executor (tick = step index). */
     TraceFlagInterpreter = 1u << 4,
 };
 
 /** One recorded data reference; fixed 32-byte on-disk layout. */
 struct TraceRecord
 {
-    Tick tick = 0;           ///< CPU tick (interpreter: step index)
+    Tick tick = 0;           ///< CPU tick (reference executor: step index)
     Addr addr = 0;           ///< physical address
     std::uint64_t value = 0; ///< op-dependent payload (see TraceOp)
     std::uint32_t pid = 0;   ///< issuing context's process id

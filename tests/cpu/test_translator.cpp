@@ -3,9 +3,9 @@
  * The basic-block translation cache (cpu/translator.hh): block
  * formation rules, cache invalidation, exact budget accounting,
  * trace-stream identity, and broad differential checks of translated
- * dispatch against the legacy switch interpreter -- including a
- * 1000-seed sweep over the litmus generator's full token vocabulary
- * (CSB bursts, uncached I/O, swaps, membars, marks).
+ * dispatch against the reference executor's switch dispatch --
+ * including a 1000-seed sweep over the litmus generator's full token
+ * vocabulary (CSB bursts, uncached I/O, swaps, membars, marks).
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +14,12 @@
 #include <vector>
 
 #include "core/system.hh"
-#include "cpu/interpreter.hh"
 #include "cpu/reference_executor.hh"
 #include "cpu/translator.hh"
 #include "isa/program.hh"
 #include "litmus/generator.hh"
 #include "litmus/testcase.hh"
-#include "mem/physical_memory.hh"
+#include "sim/logging.hh"
 #include "sim/trace_recorder.hh"
 
 namespace {
@@ -138,30 +137,46 @@ TEST(Translator, RunExecutesAndParksOnBoundary)
     EXPECT_FALSE(state.halted);
 }
 
+/** Run @p p as the only context of @p ref, with translation @p fast,
+ *  under a runaway cap of @p budget steps.  A cutoff throws
+ *  FatalError; state(0), steps(0) and marks(0) still show where the
+ *  context stopped. */
+void
+runCapped(cpu::ReferenceExecutor &ref, const isa::Program &p, bool fast,
+          std::uint64_t budget = std::uint64_t(-1))
+{
+    ref.setTranslate(fast);
+    ref.addContext(&p, 0);
+    try {
+        ref.run(budget);
+    } catch (const FatalError &) {
+    }
+}
+
 /** Budget semantics are exact: at every max_steps cutoff the
- *  translated interpreter matches the plain one bit-for-bit. */
+ *  translated executor matches switch dispatch bit-for-bit. */
 TEST(Translator, BudgetExactnessSweep)
 {
     isa::Program p = loopProgram(2, 3);
-    mem::PhysicalMemory mem_a, mem_b;
-    cpu::Interpreter full(p, mem_a);
-    full.run(std::uint64_t(-1));
-    std::uint64_t total = full.instsExecuted();
+    cpu::ReferenceExecutor full;
+    runCapped(full, p, false);
+    ASSERT_TRUE(full.state(0).halted);
+    std::uint64_t total = full.steps(0);
     ASSERT_GT(total, 20u);
 
     for (std::uint64_t budget = 0; budget <= total + 2; ++budget) {
-        mem::PhysicalMemory m1, m2;
-        cpu::Interpreter plain(p, m1);
-        cpu::Interpreter fast(p, m2);
-        fast.setTranslate(true);
-        cpu::ArchState s1 = plain.run(budget);
-        cpu::ArchState s2 = fast.run(budget);
-        ASSERT_EQ(plain.instsExecuted(), fast.instsExecuted())
+        cpu::ReferenceExecutor plain, fast;
+        runCapped(plain, p, false, budget);
+        runCapped(fast, p, true, budget);
+        const cpu::ArchState &s1 = plain.state(0);
+        const cpu::ArchState &s2 = fast.state(0);
+        ASSERT_EQ(plain.steps(0), std::min(budget, total))
             << "budget " << budget;
+        ASSERT_EQ(plain.steps(0), fast.steps(0)) << "budget " << budget;
         ASSERT_EQ(s1.pc, s2.pc) << "budget " << budget;
         ASSERT_EQ(s1.halted, s2.halted) << "budget " << budget;
         ASSERT_EQ(s1.intRegs, s2.intRegs) << "budget " << budget;
-        ASSERT_EQ(plain.marks(), fast.marks()) << "budget " << budget;
+        ASSERT_EQ(plain.marks(0), fast.marks(0)) << "budget " << budget;
     }
 }
 
@@ -186,14 +201,11 @@ TEST(Translator, TraceStreamIdentity)
     p.finalize();
 
     sim::TraceRecorder rec_plain, rec_fast;
-    mem::PhysicalMemory m1, m2;
-    cpu::Interpreter plain(p, m1);
+    cpu::ReferenceExecutor plain, fast;
     plain.setTraceRecorder(&rec_plain);
-    cpu::Interpreter fast(p, m2);
     fast.setTraceRecorder(&rec_fast);
-    fast.setTranslate(true);
-    plain.run();
-    fast.run();
+    runCapped(plain, p, false);
+    runCapped(fast, p, true);
     ASSERT_EQ(rec_plain.records().size(), rec_fast.records().size());
     EXPECT_EQ(rec_plain.records(), rec_fast.records());
 }
@@ -211,15 +223,12 @@ TEST(Translator, SelfLoopingBlock)
     p.halt();
     p.finalize();
 
-    mem::PhysicalMemory m1, m2;
-    cpu::Interpreter plain(p, m1);
-    cpu::Interpreter fast(p, m2);
-    fast.setTranslate(true);
-    cpu::ArchState s1 = plain.run(std::uint64_t(-1));
-    cpu::ArchState s2 = fast.run(std::uint64_t(-1));
-    EXPECT_EQ(s1.intRegs, s2.intRegs);
-    EXPECT_EQ(s1.pc, s2.pc);
-    EXPECT_EQ(plain.instsExecuted(), fast.instsExecuted());
+    cpu::ReferenceExecutor plain, fast;
+    runCapped(plain, p, false);
+    runCapped(fast, p, true);
+    EXPECT_EQ(plain.state(0).intRegs, fast.state(0).intRegs);
+    EXPECT_EQ(plain.state(0).pc, fast.state(0).pc);
+    EXPECT_EQ(plain.steps(0), fast.steps(0));
 }
 
 /** The cycle model's fast-forward mode must actually engage on a

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (the `docs_check` ctest target).
 
-Two checks, both stdlib-only:
+Three checks, all stdlib-only:
 
 1. Every intra-repository markdown link in the scanned documents
    resolves to an existing file (or directory).  External links
@@ -13,6 +13,14 @@ Two checks, both stdlib-only:
    "Documentation index" section, so a new document cannot be added
    without surfacing it where readers start.
 
+3. Every inline-code span that cites a repository path -- one under a
+   source tree (src/, tests/, bench/, ...) whose last component has a
+   file suffix or a glob -- names at least one existing file, after
+   expanding `{a,b}` alternatives and `*` globs and dropping a
+   trailing `:line` or `:first-last` reference.  So
+   `src/mem/csb.{hh,cc}` needs both files and `tests/mem/test_csb*.cpp`
+   at least one match.
+
 Scanned documents: README.md, DESIGN.md, EXPERIMENTS.md and every
 `docs/*.md`.  Exit status 0 when clean, 1 with one line per problem
 on stderr otherwise.
@@ -22,6 +30,7 @@ Usage:
 """
 
 import argparse
+import glob
 import pathlib
 import re
 import sys
@@ -31,6 +40,13 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+SOURCE_TREES = ("bench", "docs", "examples", "perfbench", "src", "tests",
+                "tools")
+CITED_PATH_RE = re.compile(r"(?:%s)/[\w./{},*-]+?(?::\d+(?:-\d+)?)?"
+                           % "|".join(SOURCE_TREES))
+BRACES_RE = re.compile(r"\{([^{}]*)\}")
 
 
 def scanned_documents(root):
@@ -64,6 +80,34 @@ def check_links(root, doc, errors):
                               f"broken link: {target}")
 
 
+def expand_braces(pattern):
+    match = BRACES_RE.search(pattern)
+    if not match:
+        return [pattern]
+    head, tail = pattern[:match.start()], pattern[match.end():]
+    return [expanded
+            for alternative in match.group(1).split(",")
+            for expanded in expand_braces(head + alternative + tail)]
+
+
+def check_cited_paths(root, doc, errors):
+    text = doc.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in CODE_SPAN_RE.finditer(line):
+            span = match.group(1).strip()
+            if not CITED_PATH_RE.fullmatch(span):
+                continue
+            path = re.sub(r":[\d-]+$", "", span)
+            last = path.rsplit("/", 1)[-1]
+            if not any(c in last for c in ".*{"):
+                continue
+            for pattern in expand_braces(path):
+                if not glob.glob(str(root / pattern)):
+                    errors.append(f"{doc.relative_to(root)}:{lineno}: "
+                                  f"cited path matches no file: "
+                                  f"{pattern}")
+
+
 def check_readme_index(root, errors):
     readme = root / "README.md"
     text = readme.read_text(encoding="utf-8")
@@ -85,7 +129,8 @@ def check_readme_index(root, errors):
 
 def main(argv):
     parser = argparse.ArgumentParser(
-        description="check markdown links and the README doc index")
+        description="check markdown links, cited source paths and the "
+                    "README doc index")
     parser.add_argument(
         "--repo-root",
         default=str(pathlib.Path(__file__).resolve().parent.parent))
@@ -96,13 +141,14 @@ def main(argv):
     docs = scanned_documents(root)
     for doc in docs:
         check_links(root, doc, errors)
+        check_cited_paths(root, doc, errors)
     check_readme_index(root, errors)
 
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
         print(f"docs_check: {len(docs)} documents, all intra-repo "
-              f"links resolve, README index complete")
+              f"links and cited paths resolve, README index complete")
     return 1 if errors else 0
 
 
