@@ -13,7 +13,9 @@
  * The churn workload doubles as the perf-smoke regression gate:
  * `--min-churn-speedup=N` makes the binary exit non-zero unless the
  * current kernel beats the legacy kernel by at least N x.  The ratio
- * is in-process and relative, so it is stable on shared runners.
+ * is in-process and relative, so it is stable on shared runners; each
+ * kernel's churn time follows bestSecondsPerCall(), the timing rule
+ * of every wall-clock gate (docs/PERF.md).
  */
 
 #include "bench_common.hh"
@@ -205,7 +207,6 @@ struct ChurnResult
     std::uint64_t fired = 0;
     std::uint64_t peeks = 0;
     std::size_t finalHeap = 0;
-    double seconds = 0;
 };
 
 /**
@@ -222,7 +223,6 @@ runChurn(Queue &q, unsigned window, std::uint64_t iters)
     std::vector<Handle> slots(window);
     csb::sim::Random rng(0x0c5b0c5bULL);
     ChurnResult res;
-    auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         Tick now = q.curTick();
         auto slot = static_cast<std::size_t>(rng.uniform(0, window - 1));
@@ -235,7 +235,6 @@ runChurn(Queue &q, unsigned window, std::uint64_t iters)
         if ((i & 1023) == 1023)
             q.serviceUntil(now + 16);
     }
-    res.seconds = secondsSince(t0);
     res.finalHeap = q.heapSize();
     return res;
 }
@@ -362,6 +361,17 @@ main(int argc, char **argv)
         LegacyEventQueue q;
         churn_old = runChurn(q, kChurnWindow, kChurnIters);
     }
+    // The gate times fresh runs of both kernels by the shared rule.
+    const std::vector<double> churn_s = bestSecondsPerCall(
+        {[&] {
+             csb::sim::EventQueue q;
+             keep(runChurn(q, kChurnWindow, kChurnIters).fired);
+         },
+         [&] {
+             LegacyEventQueue q;
+             keep(runChurn(q, kChurnWindow, kChurnIters).fired);
+         }});
+    const double churn_new_s = churn_s[0], churn_old_s = churn_s[1];
 
     GatingResult gated = runGated(kGatedTicks, kGatedPeriod);
 
@@ -377,9 +387,7 @@ main(int argc, char **argv)
         return report.finish(1);
     }
 
-    double speedup = churn_new.seconds > 0
-                         ? churn_old.seconds / churn_new.seconds
-                         : 0.0;
+    double speedup = churn_new_s > 0 ? churn_old_s / churn_new_s : 0.0;
 
     // Deterministic text only: counts and kernel counters, never
     // wall-clock, so the EXPERIMENTS.md splice is byte-identical on
@@ -420,7 +428,7 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "churn:      new %.3f s, legacy %.3f s -> speedup "
                  "%.1fx\n",
-                 churn_new.seconds, churn_old.seconds, speedup);
+                 churn_new_s, churn_old_s, speedup);
     std::fprintf(stderr, "gating:     %.0f sim-ticks/s\n",
                  rate(static_cast<double>(gated.simTicks),
                       gated.seconds));
@@ -435,13 +443,11 @@ main(int argc, char **argv)
                   {tput_old_s,
                    rate(static_cast<double>(fired_old), tput_old_s)});
     report.addRow("churn/current",
-                  {churn_new.seconds,
-                   rate(static_cast<double>(kChurnIters),
-                        churn_new.seconds)});
+                  {churn_new_s,
+                   rate(static_cast<double>(kChurnIters), churn_new_s)});
     report.addRow("churn/legacy",
-                  {churn_old.seconds,
-                   rate(static_cast<double>(kChurnIters),
-                        churn_old.seconds)});
+                  {churn_old_s,
+                   rate(static_cast<double>(kChurnIters), churn_old_s)});
     report.addRow("gated-sim",
                   {gated.seconds,
                    rate(static_cast<double>(gated.simTicks),

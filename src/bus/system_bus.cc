@@ -9,6 +9,10 @@
 
 namespace csb::bus {
 
+namespace {
+const sim::trace::Channel &busTrace = sim::trace::channel("bus");
+} // namespace
+
 const char *
 txnKindName(TxnKind kind)
 {
@@ -178,8 +182,8 @@ SystemBus::noteFailure(const BusTransaction &txn, BusStatus status,
         numNacks += 1;
     else if (status == BusStatus::Error)
         numErrors += 1;
-    sim::trace::log("bus", busStatusName(status), " completion ",
-                    txn.toString());
+    CSB_TRACE(busTrace, busStatusName(status), " completion ",
+              txn.toString());
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonInstant(
             "bus", std::string("bus-") + busStatusName(status), when,
@@ -289,8 +293,8 @@ SystemBus::snoopBroadcast(const Snooper *requester, Addr line_addr,
     if (summary.supplied)
         snoopInterventions += 1;
 
-    sim::trace::log("bus", "snoop ", snoopKindName(kind), " addr=0x",
-                    std::hex, line_addr, std::dec, " hits=", summary.hits);
+    CSB_TRACE(busTrace, "snoop ", snoopKindName(kind), " addr=0x",
+              std::hex, line_addr, std::dec, " hits=", summary.hits);
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonInstant(
             "bus", std::string("snoop-") + snoopKindName(kind),
@@ -551,8 +555,8 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
         clockDomain().period());
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "write start cycle=", c, " ",
-                    req.txn.toString());
+    CSB_TRACE(busTrace, "write start cycle=", c, " ",
+              req.txn.toString());
 
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonSpan(
@@ -629,8 +633,8 @@ SystemBus::startRead(Request &req, std::uint64_t c)
     monitor_.record(rec);
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "read start cycle=", c, " ",
-                    req.txn.toString());
+    CSB_TRACE(busTrace, "read start cycle=", c, " ",
+              req.txn.toString());
 
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonSpan(

@@ -12,6 +12,10 @@ using isa::InstClass;
 using isa::Opcode;
 using isa::RegId;
 
+namespace {
+const sim::trace::Channel &cpuTrace = sim::trace::channel("cpu");
+} // namespace
+
 void
 CoreParams::validate() const
 {
@@ -62,10 +66,10 @@ Core::Core(sim::Simulator &simulator, const CoreParams &params,
     simulator.registerClocked(this);
 }
 
-std::uint32_t
-Core::regKey(const RegId &reg)
+std::size_t
+Core::regSlot(const RegId &reg)
 {
-    return (static_cast<std::uint32_t>(reg.cls) << 8) | reg.idx;
+    return reg.isInt() ? reg.idx : isa::numIntRegs + reg.idx;
 }
 
 void
@@ -80,7 +84,7 @@ Core::loadProgram(const isa::Program *program, ProcId pid)
     arch_.pid = pid;
     spec_ = arch_;
     window_.clear();
-    lastWriter_.clear();
+    lastWriter_.fill(0);
     fetchPc_ = 0;
     fetchHalted_ = false;
     fetchStallSeq_ = 0;
@@ -194,7 +198,7 @@ Core::doSquashAndSwitch()
     ArchState saved = arch_;
     ++epoch_;
     window_.clear();
-    lastWriter_.clear();
+    lastWriter_.fill(0);
     arch_ = nextState_;
     spec_ = arch_;
     program_ = nextProgram_;
@@ -205,8 +209,8 @@ Core::doSquashAndSwitch()
     fetchStallSeq_ = 0;
     switchPending_ = false;
     contextSwitches += 1;
-    sim::trace::log("cpu", "context switch to pid=", arch_.pid,
-                    " pc=", arch_.pc);
+    CSB_TRACE(cpuTrace, "context switch to pid=", arch_.pid,
+              " pc=", arch_.pc);
     if (onSwitched_) {
         auto cb = std::move(onSwitched_);
         onSwitched_ = nullptr;
@@ -273,11 +277,12 @@ Core::destOf(const isa::Instruction &inst)
 Core::DynInst *
 Core::findBySeq(std::uint64_t seq)
 {
-    for (DynInst &di : window_) {
-        if (di.seq == seq)
-            return &di;
-    }
-    return nullptr;
+    // Window sequence numbers are contiguous: fetch appends nextSeq_++,
+    // retire pops the front and a squash clears the whole window.
+    if (window_.empty() || seq < window_.front().seq)
+        return nullptr;
+    const std::uint64_t slot = seq - window_.front().seq;
+    return slot < window_.size() ? &window_[slot] : nullptr;
 }
 
 void
@@ -289,9 +294,8 @@ Core::captureOperand(const RegId &reg, std::uint64_t &producer,
         value = 0;
         return;
     }
-    auto it = lastWriter_.find(regKey(reg));
-    if (it != lastWriter_.end()) {
-        if (DynInst *writer = findBySeq(it->second)) {
+    if (std::uint64_t seq = lastWriter_[regSlot(reg)]) {
+        if (DynInst *writer = findBySeq(seq)) {
             if (writer->state == State::Done) {
                 value = writer->result;
             } else {
@@ -379,7 +383,7 @@ Core::fetchStage()
         instsDispatched += 1;
         ++fetched;
         if (rd.valid() && !rd.isZero())
-            lastWriter_[regKey(rd)] = seq;
+            lastWriter_[regSlot(rd)] = seq;
 
         if (cls == InstClass::Branch) {
             if (branch_stalls) {
@@ -439,13 +443,13 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
     inst.state = State::Done;
 
     RegId rd = destOf(inst.inst);
-    if (rd.valid() && !rd.isZero()) {
-        auto it = lastWriter_.find(regKey(rd));
-        if (it != lastWriter_.end() && it->second == inst.seq)
-            spec_.writeReg(rd, result);
-    }
+    if (rd.valid() && !rd.isZero() && lastWriter_[regSlot(rd)] == inst.seq)
+        spec_.writeReg(rd, result);
 
-    for (DynInst &di : window_) {
+    // Only younger instructions can consume this result.
+    const std::uint64_t first = inst.seq - window_.front().seq + 1;
+    for (auto it = window_.begin() + first; it != window_.end(); ++it) {
+        DynInst &di = *it;
         if (di.src1Producer == inst.seq) {
             di.src1Producer = 0;
             di.src1Val = result;

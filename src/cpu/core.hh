@@ -28,12 +28,12 @@
 #ifndef CSB_CPU_CORE_HH
 #define CSB_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -277,8 +277,13 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     std::deque<DynInst> window_;
     std::uint64_t nextSeq_ = 1;
 
-    /** Latest in-flight writer of each register, by sequence. */
-    std::unordered_map<std::uint32_t, std::uint64_t> lastWriter_;
+    /**
+     * Latest writer of each register (regSlot()), by sequence; 0 when
+     * none.  A writer that has already retired is found by no
+     * findBySeq(), so its register reads from spec_.
+     */
+    std::array<std::uint64_t, isa::numIntRegs + isa::numFpRegs>
+        lastWriter_{};
 
     std::uint64_t fetchPc_ = 0;
     bool fetchHalted_ = true;
@@ -306,7 +311,8 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     unsigned ffInstsPerTick_ = 256;
     unsigned ffMinBlock_ = 8;
 
-    static std::uint32_t regKey(const isa::RegId &reg);
+    /** Index of @p reg in lastWriter_: int registers, then fp. */
+    static std::size_t regSlot(const isa::RegId &reg);
 };
 
 } // namespace csb::cpu

@@ -11,6 +11,8 @@ namespace csb::io {
 
 namespace {
 
+const sim::trace::Channel &niTrace = sim::trace::channel("ni");
+
 /** FNV-1a 64: cheap, deterministic, catches any single flipped byte. */
 std::uint64_t
 fnv1a(const std::vector<std::uint8_t> &bytes)
@@ -339,8 +341,8 @@ NetworkInterface::performLinkReset(Tick now)
     linkResets += 1;
     if (resetStartTick_ == maxTick)
         resetStartTick_ = now;
-    sim::trace::log("ni", "link reset at ", now, ", replaying ",
-                    unacked_.size(), " unacked packets");
+    CSB_TRACE(niTrace, "link reset at ", now, ", replaying ",
+              unacked_.size(), " unacked packets");
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonInstant(
             "ni.wire", "link-reset", now,

@@ -9,6 +9,10 @@
 
 namespace csb::mem {
 
+namespace {
+const sim::trace::Channel &csbTrace = sim::trace::channel("csb");
+} // namespace
+
 void
 CsbParams::validate() const
 {
@@ -106,9 +110,9 @@ ConditionalStoreBuffer::store(ProcId pid, Addr addr, unsigned size,
     ++storesAccepted;
     if (hitCounter_ == 1)
         accumStartTick_ = sim_.curTick();
-    sim::trace::log("csb", "store pid=", pid, " addr=0x", std::hex, addr,
-                    std::dec, " size=", size, (match ? "" : " (cleared)"),
-                    " counter=", hitCounter_);
+    CSB_TRACE(csbTrace, "store pid=", pid, " addr=0x", std::hex, addr,
+              std::dec, " size=", size, (match ? "" : " (cleared)"),
+              " counter=", hitCounter_);
 }
 
 bool
@@ -124,8 +128,8 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
                  (!params_.checkAddress || lineAddr_ == line);
 
     if (!match) {
-        sim::trace::log("csb", "flush FAILED pid=", pid, " expected=",
-                        expected, " counter=", hitCounter_);
+        CSB_TRACE(csbTrace, "flush FAILED pid=", pid, " expected=",
+                  expected, " counter=", hitCounter_);
         if (sim::trace::jsonEnabled()) {
             sim::trace::jsonInstant(
                 "csb", "flush-fail", sim_.curTick(),
@@ -156,8 +160,8 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
     if (injector_ &&
         injector_->shouldFault(sim::FaultSite::CsbFlushDrop,
                                sim_.curTick())) {
-        sim::trace::log("csb", "flush line DROPPED (debug bug knob) "
-                        "pid=", pid, " line=0x", std::hex, line);
+        CSB_TRACE(csbTrace, "flush line DROPPED (debug bug knob) "
+                  "pid=", pid, " line=0x", std::hex, line);
     } else {
         OutLine out;
         out.addr = lineAddr_;
@@ -166,8 +170,8 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
         outbox_.push_back(std::move(out));
     }
 
-    sim::trace::log("csb", "flush OK pid=", pid, " line=0x", std::hex,
-                    line, std::dec, " stores=", expected);
+    CSB_TRACE(csbTrace, "flush OK pid=", pid, " line=0x", std::hex,
+              line, std::dec, " stores=", expected);
     clearAccumulator();
     hitCounter_ = 0;
     ++flushesSucceeded;
@@ -348,9 +352,9 @@ ConditionalStoreBuffer::enterDegraded(Tick now)
     degradedSince_ = now;
     cleanStreak_ = 0;
     degradedEntries += 1;
-    sim::trace::log("csb", "DEGRADED at ", now,
-                    ": flush retry budget exhausted, falling back to "
-                    "PIO stores");
+    CSB_TRACE(csbTrace, "DEGRADED at ", now,
+              ": flush retry budget exhausted, falling back to "
+              "PIO stores");
     if (sim::trace::jsonEnabled())
         sim::trace::jsonInstant("csb", "degraded-enter", now, {});
 }
@@ -363,9 +367,9 @@ ConditionalStoreBuffer::exitDegraded(Tick now)
     degradedTicks += now - degradedSince_;
     repromotions += 1;
     cleanStreak_ = 0;
-    sim::trace::log("csb", "re-promoted to burst mode at ", now,
-                    " after ", params_.repromoteAfter,
-                    " clean completions");
+    CSB_TRACE(csbTrace, "re-promoted to burst mode at ", now,
+              " after ", params_.repromoteAfter,
+              " clean completions");
     if (sim::trace::jsonEnabled())
         sim::trace::jsonInstant("csb", "degraded-exit", now, {});
 }

@@ -7,6 +7,10 @@
 
 namespace csb::mem {
 
+namespace {
+const sim::trace::Channel &ubufTrace = sim::trace::channel("ubuf");
+} // namespace
+
 void
 UncachedBufferParams::validate() const
 {
@@ -115,10 +119,10 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
         tail.pieces.emplace_back(offset, size);
         ++storesPushed;
         ++storesCoalesced;
-        sim::trace::log("ubuf", "coalesce 0x", std::hex, addr,
-                        std::dec, "/", size, " into block 0x",
-                        std::hex, block, std::dec, " (",
-                        tail.storeCount, " stores)");
+        CSB_TRACE(ubufTrace, "coalesce 0x", std::hex, addr,
+                  std::dec, "/", size, " into block 0x",
+                  std::hex, block, std::dec, " (",
+                  tail.storeCount, " stores)");
         return;
     }
 
@@ -134,8 +138,8 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
     entries_.push_back(std::move(entry));
     ++storesPushed;
     ++entriesCreated;
-    sim::trace::log("ubuf", "new entry 0x", std::hex, block, std::dec,
-                    " depth=", entries_.size());
+    CSB_TRACE(ubufTrace, "new entry 0x", std::hex, block, std::dec,
+              " depth=", entries_.size());
 }
 
 void
@@ -225,6 +229,7 @@ UncachedBuffer::presentHeadStore()
     if (!head.locked) {
         head.locked = true;
         head.chunks.clear();
+        head.nextChunk = 0;
         bool full_block =
             head.valid.count() == blockBytes() &&
             blockBytes() <= maxTxnBytes();
@@ -232,20 +237,18 @@ UncachedBuffer::presentHeadStore()
             !full_block) {
             // R10000 semantics: a burst only for a fully combined
             // block; otherwise one single-beat per original store.
+            head.chunks.reserve(head.pieces.size());
             for (const auto &[offset, size] : head.pieces)
                 head.chunks.push_back(Chunk{head.addr + offset, size});
         } else {
-            for (const Chunk &chunk :
-                 decomposeAligned(head.addr, head.valid, blockBytes(),
-                                  maxTxnBytes())) {
-                head.chunks.push_back(chunk);
-            }
+            head.chunks = decomposeAligned(head.addr, head.valid,
+                                           blockBytes(), maxTxnBytes());
         }
         csb_assert(!head.chunks.empty(), "locked an empty store entry");
         entryOccupancy.sample(head.storeCount);
     }
 
-    Chunk chunk = head.chunks.front();
+    Chunk chunk = head.chunks[head.nextChunk];
     std::vector<std::uint8_t> payload(chunk.size);
     std::memcpy(payload.data(),
                 head.data.data() + (chunk.addr - head.addr), chunk.size);
@@ -263,12 +266,12 @@ UncachedBuffer::presentHeadStore()
         /*on_start=*/[this](Tick) {
             Entry &started = entries_.front();
             started.presentPending = false;
-            if (started.chunks.empty())
+            if (started.nextChunk == started.chunks.size())
                 entries_.pop_front();
         });
     csb_assert(accepted, "bus refused request despite idle master");
 
-    head.chunks.pop_front();
+    ++head.nextChunk;
     head.presentPending = true;
     ++inflightStores_;
     ++txnsIssued;

@@ -151,8 +151,10 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
         Addr lastStoreEnd = 0;
         /** Individual (offset, size) stores, for SequentialOnly. */
         std::vector<std::pair<unsigned, unsigned>> pieces;
-        /** Remaining decomposed chunks (locked stores only). */
-        std::deque<Chunk> chunks;
+        /** Decomposed chunks (locked stores only); the ones from
+         *  nextChunk on are still to be presented. */
+        std::vector<Chunk> chunks;
+        std::size_t nextChunk = 0;
         /** A presented transaction has not started yet. */
         bool presentPending = false;
         UncachedLoadCallback loadDone;

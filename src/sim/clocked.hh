@@ -64,7 +64,7 @@ class ClockDomain
     {
         if (tick <= phase_)
             return phase_;
-        return phase_ + roundUp(tick - phase_, period_);
+        return phase_ + divCeil(tick - phase_, period_) * period_;
     }
 
   private:

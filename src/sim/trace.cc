@@ -1,36 +1,96 @@
 #include "trace.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <mutex>
-#include <set>
 
 namespace csb::sim::trace {
 
-namespace {
+namespace detail {
 
 /**
  * Channel configuration is process-wide and mutex-guarded so that
  * concurrent Simulator instances (core::SweepRunner workers) can
- * trace safely.  The hot disabled path reads one relaxed atomic.
+ * trace safely.  The mutex covers configuration and output only: a
+ * trace statement reads its channel's own atomic flag.
  */
-struct TraceState
+struct Registry
 {
     std::mutex mutex;
-    std::set<std::string> channels;
+    std::map<std::string, std::unique_ptr<Channel>, std::less<>> channels;
     bool all = false;
-    std::atomic<bool> anyEnabled{false};
-    std::atomic<bool> envLoaded{false};
+    bool envLoaded = false;
     std::ostream *out = &std::cerr;
+
+    /** Caller holds mutex. */
+    Channel &
+    intern(std::string_view name)
+    {
+        auto it = channels.find(name);
+        if (it == channels.end()) {
+            it = channels
+                     .emplace(name, std::unique_ptr<Channel>(
+                                        new Channel(std::string(name))))
+                     .first;
+            it->second->on_.store(all, std::memory_order_relaxed);
+        }
+        return *it->second;
+    }
+
+    /** Turn channel @p name (or "all") on or off.  Caller holds mutex. */
+    void
+    set(const std::string &name, bool on)
+    {
+        if (name == "all") {
+            all = on;
+            for (auto &[_, ch] : channels) {
+                if (!on)
+                    ch->listed_ = false;
+                ch->on_.store(on || ch->listed_,
+                              std::memory_order_relaxed);
+            }
+            return;
+        }
+        Channel &ch = intern(name);
+        ch.listed_ = on;
+        ch.on_.store(all || on, std::memory_order_relaxed);
+    }
+
+    /** Apply CSBSIM_TRACE once, unless enable() came first. */
+    void
+    loadEnvLocked()
+    {
+        if (envLoaded)
+            return;
+        envLoaded = true;
+        const char *env = std::getenv("CSBSIM_TRACE");
+        std::string_view spec(env != nullptr ? env : "");
+        while (!spec.empty()) {
+            std::size_t comma = spec.find(',');
+            std::string name(spec.substr(0, comma));
+            if (!name.empty())
+                set(name, true);
+            if (comma == std::string_view::npos)
+                break;
+            spec.remove_prefix(comma + 1);
+        }
+    }
 };
 
-TraceState &
-state()
+namespace {
+
+/**
+ * Never destroyed: components hold Channel references at namespace
+ * scope, and a trace statement may run during static destruction.
+ */
+Registry &
+registry()
 {
-    static TraceState instance;
-    return instance;
+    static Registry *instance = new Registry;
+    return *instance;
 }
 
 /**
@@ -39,108 +99,11 @@ state()
  */
 thread_local std::function<Tick()> tickSource;
 
-void
-loadEnvOnce()
-{
-    TraceState &s = state();
-    if (s.envLoaded.load(std::memory_order_acquire))
-        return;
-    const char *env = std::getenv("CSBSIM_TRACE");
-    std::string spec(env != nullptr ? env : "");
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.envLoaded.load(std::memory_order_relaxed))
-        return; // another thread (or an explicit enable()) won
-    std::size_t start = 0;
-    while (start <= spec.size() && !spec.empty()) {
-        std::size_t comma = spec.find(',', start);
-        std::string name =
-            spec.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (!name.empty()) {
-            if (name == "all")
-                s.all = true;
-            else
-                s.channels.insert(name);
-            s.anyEnabled.store(true, std::memory_order_relaxed);
-        }
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    s.envLoaded.store(true, std::memory_order_release);
-}
-
 } // namespace
 
-bool
-enabled(const std::string &name)
-{
-    loadEnvOnce();
-    TraceState &s = state();
-    if (!s.anyEnabled.load(std::memory_order_relaxed))
-        return false;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.all || s.channels.count(name) != 0;
-}
-
 void
-enable(const std::string &name)
+emit(const Channel &channel, const std::string &message)
 {
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    // explicit control overrides lazy env load
-    s.envLoaded.store(true, std::memory_order_release);
-    if (name == "all") {
-        s.all = true;
-    } else {
-        s.channels.insert(name);
-    }
-    s.anyEnabled.store(true, std::memory_order_relaxed);
-}
-
-void
-disable(const std::string &name)
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (name == "all") {
-        s.all = false;
-        s.channels.clear();
-        s.anyEnabled.store(false, std::memory_order_relaxed);
-    } else {
-        s.channels.erase(name);
-        s.anyEnabled.store(s.all || !s.channels.empty(),
-                           std::memory_order_relaxed);
-    }
-}
-
-void
-setOutput(std::ostream *os)
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.out = os != nullptr ? os : &std::cerr;
-}
-
-void
-setTickSource(std::function<Tick()> source)
-{
-    tickSource = std::move(source);
-}
-
-void
-initFromEnvironment()
-{
-    loadEnvOnce();
-}
-
-namespace detail {
-
-void
-emit(const std::string &channel, const std::string &message)
-{
-    TraceState &s = state();
     // Format outside the lock; the tick source is thread-local.
     std::ostringstream line;
     line << "[";
@@ -149,10 +112,53 @@ emit(const std::string &channel, const std::string &message)
     } else {
         line << std::setw(9) << "-";
     }
-    line << "] " << channel << ": " << message << "\n";
-    std::lock_guard<std::mutex> lock(s.mutex);
-    *s.out << line.str();
+    line << "] " << channel.name() << ": " << message << "\n";
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    *r.out << line.str();
 }
 
 } // namespace detail
+
+Channel &
+channel(std::string_view name)
+{
+    detail::Registry &r = detail::registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.loadEnvLocked();
+    return r.intern(name);
+}
+
+void
+enable(const std::string &name)
+{
+    detail::Registry &r = detail::registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    // explicit control overrides the environment
+    r.envLoaded = true;
+    r.set(name, true);
+}
+
+void
+disable(const std::string &name)
+{
+    detail::Registry &r = detail::registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.set(name, false);
+}
+
+void
+setOutput(std::ostream *os)
+{
+    detail::Registry &r = detail::registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.out = os != nullptr ? os : &std::cerr;
+}
+
+void
+setTickSource(std::function<Tick()> source)
+{
+    detail::tickSource = std::move(source);
+}
+
 } // namespace csb::sim::trace

@@ -2,9 +2,23 @@
  * @file
  * Debug tracing with named channels, gem5 DPRINTF style.
  *
- * Channels are registered lazily by name ("cpu", "csb", "bus", ...).
- * They are disabled by default; enable programmatically with
- * trace::enable("csb") or from the environment:
+ * A channel is an interned handle: trace::channel("bus") returns the
+ * same Channel for the life of the process.  A component looks its
+ * channel up once, at namespace scope, and traces through the
+ * CSB_TRACE macro:
+ *
+ *     namespace { const sim::trace::Channel &busTrace =
+ *                     sim::trace::channel("bus"); }
+ *     ...
+ *     CSB_TRACE(busTrace, "write start cycle=", c, " ", txn.toString());
+ *
+ * CSB_TRACE tests the channel before it touches its arguments, so a
+ * disabled channel costs one relaxed atomic load and evaluates
+ * nothing (above, txn.toString() is never called).
+ *
+ * Channels are disabled by default; enable programmatically with
+ * trace::enable("csb") or from the environment, read when the first
+ * channel is interned:
  *
  *     CSBSIM_TRACE=csb,bus ./build/examples/quickstart
  *     CSBSIM_TRACE=all     ./build/tests/cpu_test_core_basic
@@ -20,17 +34,56 @@
 #ifndef CSB_SIM_TRACE_HH
 #define CSB_SIM_TRACE_HH
 
+#include <atomic>
 #include <functional>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "types.hh"
 
 namespace csb::sim::trace {
 
-/** @return true when channel @p name is enabled (cheap check). */
-bool enabled(const std::string &name);
+namespace detail {
+struct Registry;
+}
+
+/**
+ * One named trace channel.  Owned by the process-wide registry and
+ * never destroyed, so references to it stay valid; enable() and
+ * disable() flip its flag from any thread.
+ */
+class Channel
+{
+  public:
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+
+    /** @return true when the channel is on (one relaxed load). */
+    bool
+    enabled() const
+    {
+        return on_.load(std::memory_order_relaxed);
+    }
+
+    const std::string &name() const { return name_; }
+
+  private:
+    friend struct detail::Registry;
+
+    explicit Channel(std::string name) : name_(std::move(name)) {}
+
+    const std::string name_;
+    std::atomic<bool> on_{false};
+    bool listed_ = false; ///< named by enable(); guarded by the registry
+};
+
+/**
+ * @return the interned channel called @p name, created (and set from
+ * CSBSIM_TRACE and earlier enable() calls) on first use.
+ */
+Channel &channel(std::string_view name);
 
 /** Enable a channel ("all" enables everything). */
 void enable(const std::string &name);
@@ -49,28 +102,34 @@ void setOutput(std::ostream *os);
  */
 void setTickSource(std::function<Tick()> source);
 
-/** Re-read CSBSIM_TRACE from the environment (called once lazily). */
-void initFromEnvironment();
-
 namespace detail {
-void emit(const std::string &channel, const std::string &message);
-}
 
-/**
- * Log to a channel.  Arguments are streamed; nothing is evaluated
- * when the channel is disabled.
- */
+void emit(const Channel &channel, const std::string &message);
+
+/** Stream @p args into one line on @p channel (enabled already). */
 template <typename... Args>
 void
-log(const std::string &channel, Args &&...args)
+print(const Channel &channel, Args &&...args)
 {
-    if (!enabled(channel))
-        return;
     std::ostringstream os;
     (os << ... << args);
-    detail::emit(channel, os.str());
+    emit(channel, os.str());
 }
 
+} // namespace detail
 } // namespace csb::sim::trace
+
+/**
+ * Log the streamed @p ... to @p channel (a trace::Channel, evaluated
+ * once).  The other arguments are evaluated only when the channel is
+ * enabled.
+ */
+#define CSB_TRACE(channel, ...)                                         \
+    do {                                                                \
+        const ::csb::sim::trace::Channel &csbTraceChannel_ = (channel); \
+        if (csbTraceChannel_.enabled()) [[unlikely]]                    \
+            ::csb::sim::trace::detail::print(csbTraceChannel_,          \
+                                             __VA_ARGS__);              \
+    } while (false)
 
 #endif // CSB_SIM_TRACE_HH

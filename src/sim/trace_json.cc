@@ -28,17 +28,15 @@ struct JsonEvent
 /**
  * The event buffer is process-wide (one trace file per process), so
  * it is mutex-guarded: concurrent Simulator instances may append
- * spans from sweep worker threads.  The disabled fast path reads a
- * single relaxed atomic.
+ * spans from sweep worker threads.  The disabled fast path reads
+ * detail::jsonMode only, which mirrors out != nullptr once resolved.
  */
 struct TraceJsonState
 {
     std::mutex mutex;
-    std::atomic<bool> enabled{false};       // mirrors out != nullptr
     std::ostream *out = nullptr;            // active sink, if any
     std::unique_ptr<std::ofstream> file;    // owned when env/file-based
     std::vector<JsonEvent> events;
-    std::atomic<bool> envLoaded{false};
 
     ~TraceJsonState()
     {
@@ -119,21 +117,19 @@ state()
     return instance;
 }
 
-void enableFileLocked(TraceJsonState &s, const std::string &path);
-
 void
-loadEnvOnce()
+setMode(detail::JsonMode mode)
 {
-    TraceJsonState &s = state();
-    if (s.envLoaded.load(std::memory_order_acquire))
-        return;
-    const char *env = std::getenv("CSBSIM_TRACE_JSON");
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.envLoaded.load(std::memory_order_relaxed))
-        return; // another thread (or an explicit jsonEnable*) won
-    if (env && *env)
-        enableFileLocked(s, env);
-    s.envLoaded.store(true, std::memory_order_release);
+    detail::jsonMode.store(mode, std::memory_order_relaxed);
+}
+
+/** Caller holds mutex: an unread environment now counts as read. */
+void
+markEnvRead()
+{
+    if (detail::jsonMode.load(std::memory_order_relaxed) ==
+        detail::JsonMode::Unread)
+        setMode(detail::JsonMode::Off);
 }
 
 void
@@ -148,27 +144,38 @@ enableFileLocked(TraceJsonState &s, const std::string &path)
     }
     s.file = std::move(file);
     s.out = s.file.get();
-    s.enabled.store(true, std::memory_order_relaxed);
+    setMode(detail::JsonMode::On);
 }
 
 } // namespace
 
+namespace detail {
+
 bool
-jsonEnabled()
+jsonEnabledSlow()
 {
-    loadEnvOnce();
-    return state().enabled.load(std::memory_order_relaxed);
+    TraceJsonState &s = state();
+    const char *env = std::getenv("CSBSIM_TRACE_JSON");
+    std::lock_guard<std::mutex> lock(s.mutex);
+    // another thread (or an explicit jsonEnable*) may have won
+    if (jsonMode.load(std::memory_order_relaxed) == JsonMode::Unread) {
+        if (env && *env)
+            enableFileLocked(s, env);
+        markEnvRead();
+    }
+    return jsonMode.load(std::memory_order_relaxed) == JsonMode::On;
 }
+
+} // namespace detail
 
 void
 jsonEnable(std::ostream *os)
 {
     TraceJsonState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.envLoaded.store(true, std::memory_order_release);
     s.file.reset();
     s.out = os;
-    s.enabled.store(os != nullptr, std::memory_order_relaxed);
+    setMode(os != nullptr ? detail::JsonMode::On : detail::JsonMode::Off);
 }
 
 void
@@ -180,8 +187,8 @@ jsonEnableFile(const std::string &path)
         return;
     }
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.envLoaded.store(true, std::memory_order_release);
     enableFileLocked(s, path);
+    markEnvRead();
 }
 
 void
@@ -189,11 +196,10 @@ jsonDisable()
 {
     TraceJsonState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.envLoaded.store(true, std::memory_order_release);
     s.events.clear();
     s.out = nullptr;
     s.file.reset();
-    s.enabled.store(false, std::memory_order_relaxed);
+    setMode(detail::JsonMode::Off);
 }
 
 void

@@ -20,6 +20,8 @@
 #ifndef CSB_SIM_TRACE_JSON_HH
 #define CSB_SIM_TRACE_JSON_HH
 
+#include <atomic>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -35,11 +37,26 @@ struct SpanArg
     std::string value;
 };
 
+namespace detail {
+/** JSON tracing state: off, on, or CSBSIM_TRACE_JSON not yet read. */
+enum class JsonMode : std::uint8_t { Off, On, Unread };
+inline std::atomic<JsonMode> jsonMode{JsonMode::Unread};
+bool jsonEnabledSlow();
+} // namespace detail
+
 /**
- * @return true when JSON tracing is active (cheap check; reads
- * CSBSIM_TRACE_JSON once lazily, like the textual channels).
+ * @return true when JSON tracing is active.  Reads CSBSIM_TRACE_JSON
+ * on the first call; after that it is one relaxed atomic load.
  */
-bool jsonEnabled();
+inline bool
+jsonEnabled()
+{
+    const detail::JsonMode mode =
+        detail::jsonMode.load(std::memory_order_relaxed);
+    if (mode == detail::JsonMode::Unread) [[unlikely]]
+        return detail::jsonEnabledSlow();
+    return mode == detail::JsonMode::On;
+}
 
 /** Direct JSON trace output to @p os (not owned); null disables. */
 void jsonEnable(std::ostream *os);

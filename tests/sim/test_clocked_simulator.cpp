@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/clocked.hh"
@@ -43,6 +44,26 @@ TEST(ClockDomain, PhaseShiftsEdges)
     EXPECT_EQ(shifted.nextEdgeAt(3), 6u);
     EXPECT_EQ(shifted.nextEdgeAt(2), 2u);
     EXPECT_EQ(shifted.nextEdgeAt(0), 2u);
+
+    // Non-power-of-two periods, as in the paper's 6:1 bus ratio.
+    ClockDomain six(6);
+    EXPECT_EQ(six.nextEdgeAt(0), 0u);
+    EXPECT_EQ(six.nextEdgeAt(1), 6u);
+    EXPECT_EQ(six.nextEdgeAt(6), 6u);
+    EXPECT_EQ(six.nextEdgeAt(7), 12u);
+    EXPECT_EQ(six.nextEdgeAt(12), 12u);
+
+    ClockDomain sixShifted(6, 1);
+    EXPECT_EQ(sixShifted.nextEdgeAt(0), 1u);
+    EXPECT_EQ(sixShifted.nextEdgeAt(1), 1u);
+    EXPECT_EQ(sixShifted.nextEdgeAt(2), 7u);
+    EXPECT_EQ(sixShifted.nextEdgeAt(7), 7u);
+    EXPECT_EQ(sixShifted.nextEdgeAt(8), 13u);
+    for (Tick t = 0; t < 40; ++t) {
+        EXPECT_TRUE(sixShifted.isEdge(sixShifted.nextEdgeAt(t))) << t;
+        EXPECT_LT(sixShifted.nextEdgeAt(t) - std::max<Tick>(t, 1), 6u)
+            << t;
+    }
 }
 
 class Recorder : public Clocked
