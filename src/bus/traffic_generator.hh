@@ -13,10 +13,10 @@
 #ifndef CSB_BUS_TRAFFIC_GENERATOR_HH
 #define CSB_BUS_TRAFFIC_GENERATOR_HH
 
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "retry.hh"
+#include "master_port.hh"
 #include "sim/clocked.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -49,7 +49,9 @@ struct TrafficGeneratorParams
 };
 
 /** Background-load bus master. */
-class TrafficGenerator : public sim::Clocked, public sim::stats::StatGroup
+class TrafficGenerator : public sim::Clocked,
+                         public sim::stats::StatGroup,
+                         private PortOwner
 {
   public:
     TrafficGenerator(sim::Simulator &simulator, SystemBus &bus,
@@ -80,28 +82,19 @@ class TrafficGenerator : public sim::Clocked, public sim::stats::StatGroup
     sim::stats::Scalar busRetries;
 
   private:
-    /** A NACKed transaction waiting out its backoff. */
-    struct Redo
-    {
-        bool isWrite = false;
-        Addr addr = 0;
-        unsigned attempt = 0;
-        Tick earliest = 0;
-    };
-
-    void issue(Addr addr, bool is_write, unsigned attempt);
-    void onCompletion(Addr addr, bool is_write, unsigned attempt,
-                      Tick when, BusStatus status);
+    /** Wake up to service the retry, even after stop(). */
+    void portNacked(std::uint64_t) override { ungate(); }
 
     sim::Simulator &sim_;
     SystemBus &bus_;
     TrafficGeneratorParams params_;
-    MasterId masterId_;
     sim::Random rng_;
     bool running_ = false;
     /** Next bus cycle at which to attempt an issue. */
     double nextIssueCycle_ = 0;
-    std::optional<Redo> redo_;
+    /** The payload of every background write. */
+    std::vector<std::uint8_t> writeData_;
+    MasterPort port_;
 };
 
 } // namespace csb::bus

@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -36,6 +37,68 @@ SystemConfig::normalize()
                   ") exceeds the cache line (", lineBytes, ")");
     }
 }
+
+/**
+ * A core slice's cache-miss master: line fetches and spills share one
+ * port, so overlapping misses serialize as with a single MSHR.
+ */
+class System::MissPort final : private bus::PortOwner
+{
+  public:
+    MissPort(System &system, const std::string &master_name)
+        : system_(system),
+          port_(system.sim_, *system.bus_, *this, master_name,
+                bus::RetryPolicy{}, // defaults; NACKs only under faults
+                bus::Pacing::Self,
+                {"", {"cache line fetch", "cache writeback"},
+                 {"cache line fetch ", "cache writeback "},
+                 /*showBudget=*/false})
+    {}
+
+    void
+    fetch(Addr line_addr, std::function<void(Tick)> done)
+    {
+        fetches_.emplace_back(++lastFetchTag_, std::move(done));
+        port_.presentRead(line_addr, system_.config_.lineBytes,
+                          /*strongly_ordered=*/false, lastFetchTag_);
+    }
+
+    void
+    writeback(Addr line_addr)
+    {
+        // A snapshot of bytes the image already holds: memory never
+        // re-applies it (BusTransaction::snapshotPayload), so stores
+        // that commit while the spill waits or retries survive it.
+        std::array<std::uint8_t, bus::maxPortPayload> data;
+        unsigned size = system_.config_.lineBytes;
+        system_.physMem_.read(line_addr, data.data(), size);
+        port_.presentWrite(line_addr, data.data(), size,
+                           /*strongly_ordered=*/false, /*tag=*/0,
+                           /*snapshot=*/true);
+    }
+
+  private:
+    void
+    portDone(std::uint64_t tag, Tick when,
+             const std::vector<std::uint8_t> &) override
+    {
+        if (tag == 0)
+            return; // a spill
+        auto it = std::find_if(fetches_.begin(), fetches_.end(),
+                               [tag](auto &f) { return f.first == tag; });
+        csb_assert(it != fetches_.end(), "line fill without a fetch");
+        std::function<void(Tick)> done = std::move(it->second);
+        fetches_.erase(it);
+        done(when);
+    }
+
+    System &system_;
+    /** Fill callbacks of the fetches in flight, by port tag. */
+    std::vector<std::pair<std::uint64_t, std::function<void(Tick)>>>
+        fetches_;
+    std::uint64_t lastFetchTag_ = 0;
+    bus::MasterPort port_;
+};
 
 System::System(SystemConfig config)
     : sim::stats::StatGroup("system"), config_(std::move(config))
@@ -131,106 +194,15 @@ System::buildCoreSlice(unsigned cpu)
     }
 
     if (config_.routeMissesOverBus) {
-        slice.missMaster =
-            bus_->registerMaster("cachemiss" + suffix + ".port");
-        MasterId miss_master = slice.missMaster;
-        bus::RetryPolicy miss_retry; // defaults; NACKs only under faults
+        slice.missPort = std::make_unique<MissPort>(
+            *this, "cachemiss" + suffix + ".port");
+        MissPort *port = slice.missPort.get();
         slice.caches->setLineFetch(
-            [this, miss_master, miss_retry](Addr line_addr,
-                                            std::function<void(Tick)> done) {
-                // Retry until the miss port is free (overlapping
-                // misses serialize, as with a single MSHR); a NACKed
-                // fetch reissues after backoff.
-                auto attempt =
-                    std::make_shared<std::function<void(unsigned)>>();
-                *attempt = [this, miss_master, line_addr, miss_retry,
-                            done = std::move(done),
-                            attempt](unsigned try_no) {
-                    bool ok = bus_->requestRead(
-                        miss_master, line_addr, config_.lineBytes,
-                        /*strongly_ordered=*/false,
-                        [this, done, attempt, try_no, miss_retry,
-                         line_addr](Tick when, bus::BusStatus status,
-                                    const std::vector<std::uint8_t> &) {
-                            if (status == bus::BusStatus::Ok) {
-                                done(when);
-                                // Break the attempt->attempt cycle.
-                                *attempt = {};
-                                return;
-                            }
-                            if (status == bus::BusStatus::Error) {
-                                csb_fatal("bus error on cache line "
-                                          "fetch at 0x", std::hex,
-                                          line_addr);
-                            }
-                            if (try_no + 1 >= miss_retry.maxAttempts) {
-                                csb_fatal("cache line fetch retries "
-                                          "exhausted at 0x", std::hex,
-                                          line_addr);
-                            }
-                            sim_.eventQueue().scheduleFunc(
-                                when + miss_retry.backoffFor(try_no + 1),
-                                [attempt, try_no] {
-                                    (*attempt)(try_no + 1);
-                                });
-                        });
-                    if (!ok) {
-                        sim_.eventQueue().scheduleFunc(
-                            sim_.curTick() + 1,
-                            [attempt, try_no] { (*attempt)(try_no); });
-                    }
-                };
-                (*attempt)(0);
+            [port](Addr line_addr, std::function<void(Tick)> done) {
+                port->fetch(line_addr, std::move(done));
             });
-        slice.caches->setLineWriteback([this, miss_master,
-                                        miss_retry](Addr line_addr) {
-            auto attempt =
-                std::make_shared<std::function<void(unsigned)>>();
-            *attempt = [this, miss_master, line_addr, miss_retry,
-                        attempt](unsigned try_no) {
-                // Capture the payload fresh on EVERY attempt, not once
-                // at eviction: stores may commit to the image while the
-                // spill waits for the port or retries after a NACK, and
-                // a stale capture would clobber them at completion.
-                // The payload is flagged as a snapshot so the memory
-                // counts it without re-applying it (see
-                // BusTransaction::snapshotPayload).
-                std::vector<std::uint8_t> data(config_.lineBytes);
-                physMem_.read(line_addr, data.data(), data.size());
-                bool ok = bus_->requestWrite(
-                    miss_master, line_addr, std::move(data),
-                    /*strongly_ordered=*/false,
-                    /*on_complete=*/
-                    [this, attempt, try_no, miss_retry,
-                     line_addr](Tick when, bus::BusStatus status) {
-                        if (status == bus::BusStatus::Ok) {
-                            *attempt = {};
-                            return;
-                        }
-                        if (status == bus::BusStatus::Error) {
-                            csb_fatal("bus error on cache writeback "
-                                      "at 0x", std::hex, line_addr);
-                        }
-                        if (try_no + 1 >= miss_retry.maxAttempts) {
-                            csb_fatal("cache writeback retries "
-                                      "exhausted at 0x", std::hex,
-                                      line_addr);
-                        }
-                        sim_.eventQueue().scheduleFunc(
-                            when + miss_retry.backoffFor(try_no + 1),
-                            [attempt, try_no] {
-                                (*attempt)(try_no + 1);
-                            });
-                    },
-                    /*on_start=*/{}, /*snapshot_payload=*/true);
-                if (!ok) {
-                    sim_.eventQueue().scheduleFunc(
-                        sim_.curTick() + 1,
-                        [attempt, try_no] { (*attempt)(try_no); });
-                }
-            };
-            (*attempt)(0);
-        });
+        slice.caches->setLineWriteback(
+            [port](Addr line_addr) { port->writeback(line_addr); });
     }
 
     slice.ubuf = std::make_unique<mem::UncachedBuffer>(

@@ -157,6 +157,7 @@ class System : public sim::stats::StatGroup
     std::size_t ioWriteTxns() const;
 
   private:
+    class MissPort;
     /** Per-processor private components. */
     struct CoreSlice
     {
@@ -168,8 +169,8 @@ class System : public sim::stats::StatGroup
         std::unique_ptr<cpu::Core> core;
         /** Null outside replay mode; built lazily by replay(). */
         std::unique_ptr<ReplayCore> replay;
-        /** Bus master for cache-miss line fetches (optional). */
-        MasterId missMaster = 0;
+        /** Bus master for line fetches and spills (optional). */
+        std::unique_ptr<MissPort> missPort;
     };
 
     void buildCoreSlice(unsigned cpu);

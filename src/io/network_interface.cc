@@ -59,10 +59,14 @@ NetworkInterface::NetworkInterface(sim::Simulator &simulator,
       messageBytes(this, "messageBytes",
                    "payload bytes per message entering the wire",
                    0, 4096, 256),
-      sim_(simulator), bus_(bus), base_(base), params_(params),
-      name_(std::move(name))
+      sim_(simulator), base_(base), params_(params),
+      name_(std::move(name)),
+      port_(simulator, bus, *this, name_ + ".dma", params.retry,
+            bus::Pacing::Idle,
+            {name_ + ": ", {"DMA read", "DMA read"},
+             {"DMA read ", "DMA read "}})
 {
-    masterId_ = bus_.registerMaster(name_ + ".dma");
+    port_.countInto(busNacks, busRetries);
     simulator.registerClocked(this);
 }
 
@@ -355,8 +359,7 @@ NetworkInterface::performLinkReset(Tick now)
 
     // Reinit the DMA engine's retry state: NACKed reads restart with
     // a fresh budget once the link is healthy again.
-    for (DmaRetry &retry : dmaRetries_)
-        retry.attempt = 0;
+    port_.restartRetryBudgets();
 
     // Zeroing attempts disarms every stale retransmit timer (they
     // check the attempt they were armed with).  The replay below
@@ -399,18 +402,10 @@ NetworkInterface::tick()
 
     // NACKed reads reissue before new ones.  A pending retry implies
     // fetched < length, so the job cannot complete under it.
-    if (!dmaRetries_.empty()) {
-        DmaRetry &head = dmaRetries_.front();
-        if (now < head.earliest || !bus_.masterIdle(masterId_))
-            return;
-        DmaRetry redo = head;
-        dmaRetries_.pop_front();
-        ++job.outstanding;
-        issueDmaRead(redo.addr, redo.size, redo.offset, redo.attempt);
+    if (port_.serviceRetries(now))
         return;
-    }
 
-    if (job.fetched >= job.length && job.outstanding == 0) {
+    if (job.fetched >= job.length && port_.drained()) {
         // All payload fetched: transmit.
         std::vector<std::uint8_t> payload = std::move(job.payload);
         dmaQueue_.pop_front();
@@ -422,8 +417,8 @@ NetworkInterface::tick()
     // Pipeline line reads: present the next one as soon as the bus
     // port is free, up to the engine's outstanding-read limit.
     if (job.issued >= job.length ||
-        job.outstanding >= params_.dmaMaxOutstanding ||
-        !bus_.masterIdle(masterId_)) {
+        port_.live() >= params_.dmaMaxOutstanding ||
+        !port_.canPresent()) {
         return;
     }
 
@@ -436,54 +431,26 @@ NetworkInterface::tick()
 
     unsigned offset = job.issued;
     job.issued += size;
-    ++job.outstanding;
-    issueDmaRead(addr, size, offset, /*attempt=*/0);
+    port_.presentRead(addr, size, /*strongly_ordered=*/false, offset);
 }
 
 void
-NetworkInterface::issueDmaRead(Addr addr, unsigned size, unsigned offset,
-                               unsigned attempt)
+NetworkInterface::portDone(std::uint64_t offset, Tick,
+                           const std::vector<std::uint8_t> &data)
 {
-    bool accepted = bus_.requestRead(
-        masterId_, addr, size, /*strongly_ordered=*/false,
-        [this, addr, size, offset,
-         attempt](Tick when, bus::BusStatus status,
-                  const std::vector<std::uint8_t> &data) {
-            csb_assert(!dmaQueue_.empty(), "DMA response without a job");
-            DmaJob &current = dmaQueue_.front();
-            csb_assert(current.outstanding > 0, "DMA response underflow");
-            --current.outstanding;
-            if (status == bus::BusStatus::Ok) {
-                unsigned take = std::min<unsigned>(
-                    static_cast<unsigned>(data.size()),
-                    current.length - offset);
-                std::memcpy(current.payload.data() + offset, data.data(),
-                            take);
-                current.fetched += take;
-                return;
-            }
-            if (status == bus::BusStatus::Error) {
-                csb_fatal(name_, ": bus error on DMA read at 0x",
-                          std::hex, addr);
-            }
-            busNacks += 1;
-            if (attempt + 1 >= params_.retry.maxAttempts) {
-                csb_fatal(name_, ": DMA read retries exhausted (",
-                          params_.retry.maxAttempts, ") at 0x", std::hex,
-                          addr);
-            }
-            busRetries += 1;
-            dmaRetries_.push_back(DmaRetry{
-                addr, size, offset, attempt + 1,
-                when + params_.retry.backoffFor(attempt + 1)});
-        });
-    csb_assert(accepted, "bus refused DMA read despite idle master");
+    csb_assert(!dmaQueue_.empty(), "DMA response without a job");
+    DmaJob &current = dmaQueue_.front();
+    unsigned take = std::min<unsigned>(
+        static_cast<unsigned>(data.size()),
+        current.length - static_cast<unsigned>(offset));
+    std::memcpy(current.payload.data() + offset, data.data(), take);
+    current.fetched += take;
 }
 
 bool
 NetworkInterface::idle() const
 {
-    return dmaQueue_.empty() && dmaRetries_.empty() &&
+    return dmaQueue_.empty() && port_.drained() &&
            messagesInWire_ == 0 && unacked_.empty();
 }
 
@@ -548,19 +515,13 @@ void
 NetworkInterface::debugDump(std::ostream &os) const
 {
     os << "dmaJobs=" << dmaQueue_.size()
-       << " dmaRetries=" << dmaRetries_.size()
        << " messagesInWire=" << messagesInWire_
        << " unacked=" << unacked_.size()
        << " delivered=" << delivered_.size()
        << " wireFreeAt=" << wireFreeAt_;
     if (resetStartTick_ != maxTick)
         os << " linkDownSince=" << resetStartTick_;
-    if (!dmaRetries_.empty()) {
-        const DmaRetry &head = dmaRetries_.front();
-        os << "\n  dmaRetry head: addr=0x" << std::hex << head.addr
-           << std::dec << " attempt=" << head.attempt << " earliest="
-           << head.earliest;
-    }
+    port_.debugDump(os);
     for (const auto &[seq, pkt] : unacked_) {
         os << "\n  unacked seq=" << seq << " attempts=" << pkt.attempts
            << '/' << params_.maxSendAttempts << " firstSend="

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/retry.hh"
+#include "bus/master_port.hh"
 #include "bus/system_bus.hh"
 #include "mem/physical_memory.hh"
 #include "sim/clocked.hh"
@@ -122,7 +122,8 @@ struct NetworkInterfaceParams
  */
 class NetworkInterface : public bus::BusTarget,
                          public sim::Clocked,
-                         public sim::stats::StatGroup
+                         public sim::stats::StatGroup,
+                         private bus::PortOwner
 {
   public:
     NetworkInterface(sim::Simulator &simulator, bus::SystemBus &bus,
@@ -215,22 +216,9 @@ class NetworkInterface : public bus::BusTarget,
         unsigned issued = 0;
         /** Bytes received back (responses return in order). */
         unsigned fetched = 0;
-        /** Reads issued but not yet answered. */
-        unsigned outstanding = 0;
         std::vector<std::uint8_t> payload;
         Tick startTick = 0;
         bool startupDone = false;
-    };
-
-    /** A DMA read NACKed on the bus, waiting out its backoff. */
-    struct DmaRetry
-    {
-        Addr addr = 0;
-        unsigned size = 0;
-        /** Byte offset of this read within the job's payload. */
-        unsigned offset = 0;
-        unsigned attempt = 0;
-        Tick earliest = 0;
     };
 
     /** An unacknowledged packet owned by the sender (reliable mode). */
@@ -254,8 +242,10 @@ class NetworkInterface : public bus::BusTarget,
                        std::vector<std::uint8_t> wire_bytes,
                        std::uint64_t claimed_checksum, Tick send_done,
                        Tick arrival, bool via_dma);
-    void issueDmaRead(Addr addr, unsigned size, unsigned offset,
-                      unsigned attempt);
+    /** A DMA read returned; @p offset is its byte offset in the job. */
+    void portDone(std::uint64_t offset, Tick when,
+                  const std::vector<std::uint8_t> &data) override;
+
     /**
      * Link-down recovery: quiesce the wire, reinit the DMA retry
      * engine, zero every unacked packet's attempt count (disarming
@@ -265,17 +255,15 @@ class NetworkInterface : public bus::BusTarget,
     void performLinkReset(Tick now);
 
     sim::Simulator &sim_;
-    bus::SystemBus &bus_;
     Addr base_;
     NetworkInterfaceParams params_;
     std::string name_;
-    MasterId masterId_;
+    /** The DMA engine's bus master, tagged by payload offset. */
+    bus::MasterPort port_;
     sim::FaultInjector *injector_ = nullptr;
 
     std::vector<std::uint8_t> pioBuffer_;
     std::deque<DmaJob> dmaQueue_;
-    /** NACKed DMA reads of the front job awaiting reissue. */
-    std::deque<DmaRetry> dmaRetries_;
     /** Wire is busy until this tick. */
     Tick wireFreeAt_ = 0;
     unsigned messagesInWire_ = 0;

@@ -55,14 +55,18 @@ ConditionalStoreBuffer::ConditionalStoreBuffer(
       fillAtFlush(this, "fillAtFlush",
                   "valid bytes in the line at a successful flush",
                   0, params.lineBytes, 8),
-      sim_(simulator), bus_(bus), params_(params)
+      sim_(simulator), bus_(bus), params_(params),
+      port_(simulator, bus, *this, name + ".port", params.retry,
+            bus::Pacing::NextEdge,
+            {name + ": ", {"flush write", "flush write"},
+             {"flush ", "flush "}})
 {
     params_.validate();
     if (params_.lineBytes > bus_.params().maxBurstBytes)
         csb_fatal("CSB line (", params_.lineBytes,
                   ") exceeds the bus max burst (",
                   bus_.params().maxBurstBytes, ")");
-    masterId_ = bus_.registerMaster(name + ".port");
+    port_.countInto(busNacks, busRetries);
     simulator.registerClocked(this);
 }
 
@@ -181,8 +185,7 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
 bool
 ConditionalStoreBuffer::quiescent() const
 {
-    return hitCounter_ == 0 && outbox_.empty() && retryQueue_.empty() &&
-           inflight_ == 0;
+    return hitCounter_ == 0 && drained();
 }
 
 void
@@ -198,39 +201,26 @@ ConditionalStoreBuffer::tick()
     if (!canAcceptStore())
         storeStallCycles += 1;
 
-    if (presentPending_ || !bus_.masterIdle(masterId_))
+    if (!port_.canPresent())
         return;
 
     // With bus faults possible, wait for the in-flight chunk's status
     // before issuing the next: a NACK discovered at completion would
     // otherwise replay behind a younger chunk, reordering the stream.
-    if (inflight_ != 0 && bus_.ordersMustSerialize())
+    if (port_.inflight() != 0 && bus_.ordersMustSerialize())
         return;
 
     // NACKed chunks reissue strictly before new outbox data so the
     // stream out of this port keeps its order.
-    if (!retryQueue_.empty()) {
-        RetryWrite &head = retryQueue_.front();
-        if (sim_.curTick() < head.earliest)
-            return;
-        if (!bus_.wouldAcceptAtNextEdge(masterId_,
-                                        /*strongly_ordered=*/true,
-                                        /*is_write=*/true)) {
-            return;
-        }
-        RetryWrite redo = std::move(head);
-        retryQueue_.pop_front();
-        issueWrite(redo.addr, std::move(redo.data), redo.lastChunk,
-                   redo.attempt, /*from_outbox=*/false);
+    if (port_.serviceRetries(sim_.curTick()))
         return;
-    }
 
     if (outbox_.empty())
         return;
     // Hand a line to the system interface only when the bus will take
     // it at the next edge; until then the line buffer stays occupied
     // (which is what gates following combining stores).
-    if (!bus_.wouldAcceptAtNextEdge(masterId_, /*strongly_ordered=*/true,
+    if (!bus_.wouldAcceptAtNextEdge(port_.id(), /*strongly_ordered=*/true,
                                     /*is_write=*/true)) {
         return;
     }
@@ -275,72 +265,28 @@ ConditionalStoreBuffer::tick()
         last_chunk = true;
     }
 
-    std::vector<std::uint8_t> payload(txn_size);
-    std::memcpy(payload.data(), head.data.data() + (txn_addr - head.addr),
-                txn_size);
-
-    issueWrite(txn_addr, std::move(payload), last_chunk, /*attempt=*/0,
-               /*from_outbox=*/true);
+    port_.presentWrite(txn_addr, head.data.data() + (txn_addr - head.addr),
+                       txn_size, /*strongly_ordered=*/true, last_chunk);
     if (last_chunk)
         ++linesIssued;
 }
 
 void
-ConditionalStoreBuffer::issueWrite(Addr addr,
-                                   std::vector<std::uint8_t> payload,
-                                   bool last_chunk, unsigned attempt,
-                                   bool from_outbox)
+ConditionalStoreBuffer::portDone(std::uint64_t, Tick when,
+                                 const std::vector<std::uint8_t> &)
 {
-    // Keep our own copy until the bus acknowledges: the transaction's
-    // payload is consumed by the bus whether or not delivery succeeds.
-    std::vector<std::uint8_t> keep = payload;
-    bool accepted = bus_.requestWrite(
-        masterId_, addr, std::move(payload), /*strongly_ordered=*/true,
-        /*on_complete=*/
-        [this, addr, keep = std::move(keep), last_chunk,
-         attempt](Tick when, bus::BusStatus status) mutable {
-            csb_assert(inflight_ > 0, "CSB completion underflow");
-            --inflight_;
-            if (status == bus::BusStatus::Ok) {
-                if (degraded_ && ++cleanStreak_ >= params_.repromoteAfter)
-                    exitDegraded(when);
-                return;
-            }
-            if (status == bus::BusStatus::Error) {
-                csb_fatal(sim::Clocked::name(),
-                          ": bus error on flush write at 0x",
-                          std::hex, addr);
-            }
-            busNacks += 1;
-            cleanStreak_ = 0;
-            unsigned next_attempt = attempt + 1;
-            if (next_attempt >= params_.retry.maxAttempts) {
-                if (!params_.degradedFallback) {
-                    csb_fatal(sim::Clocked::name(),
-                              ": flush retries exhausted (",
-                              params_.retry.maxAttempts, ") at 0x",
-                              std::hex, addr);
-                }
-                // Escalate instead of dying: hold the attempt count at
-                // the budget so the chunk keeps retrying at the
-                // maximum backoff until the target recovers.
-                enterDegraded(when);
-                next_attempt = attempt;
-            }
-            busRetries += 1;
-            retryQueue_.push_back(RetryWrite{
-                addr, std::move(keep), last_chunk, next_attempt,
-                when + params_.retry.backoffFor(attempt + 1)});
-        },
-        /*on_start=*/
-        [this, last_chunk, from_outbox](Tick) {
-            presentPending_ = false;
-            if (from_outbox && last_chunk)
-                outbox_.pop_front();
-        });
-    csb_assert(accepted, "bus refused CSB request despite idle master");
-    presentPending_ = true;
-    ++inflight_;
+    if (degraded_ && ++cleanStreak_ >= params_.repromoteAfter)
+        exitDegraded(when);
+}
+
+bool
+ConditionalStoreBuffer::portExhausted(std::uint64_t, Tick when)
+{
+    if (!params_.degradedFallback)
+        return false;
+    // Escalate: the port keeps the chunk retrying at the capped backoff.
+    enterDegraded(when);
+    return true;
 }
 
 void
@@ -432,21 +378,14 @@ void
 ConditionalStoreBuffer::debugDump(std::ostream &os) const
 {
     os << "counter=" << hitCounter_ << " outbox=" << outbox_.size()
-       << " retryQueue=" << retryQueue_.size()
-       << " inflight=" << inflight_
-       << " presentPending=" << (presentPending_ ? 1 : 0)
+       << " presentPending=" << (port_.canPresent() ? 0 : 1)
        << " degraded=" << (degraded_ ? 1 : 0);
     if (degraded_) {
         os << " degradedSince=" << degradedSince_
            << " cleanStreak=" << cleanStreak_ << '/'
            << params_.repromoteAfter;
     }
-    if (!retryQueue_.empty()) {
-        const RetryWrite &head = retryQueue_.front();
-        os << "\n  retry head: addr=0x" << std::hex << head.addr
-           << std::dec << " attempt=" << head.attempt << '/'
-           << params_.retry.maxAttempts << " earliest=" << head.earliest;
-    }
+    port_.debugDump(os);
 }
 
 } // namespace csb::mem

@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/retry.hh"
+#include "bus/master_port.hh"
 #include "bus/system_bus.hh"
 #include "decompose.hh"
 #include "sim/clocked.hh"
@@ -92,7 +92,8 @@ struct CsbParams
  * clock.
  */
 class ConditionalStoreBuffer : public sim::Clocked,
-                               public sim::stats::StatGroup
+                               public sim::stats::StatGroup,
+                               private bus::PortOwner
 {
   public:
     ConditionalStoreBuffer(sim::Simulator &simulator, bus::SystemBus &bus,
@@ -133,7 +134,7 @@ class ConditionalStoreBuffer : public sim::Clocked,
     bool flushPending() const { return !outbox_.empty(); }
 
     /** @return true while NACKed flush chunks await reissue. */
-    bool retryPending() const { return !retryQueue_.empty(); }
+    bool retryPending() const { return port_.retryPending(); }
 
     /** @return true when nothing is buffered or in flight. */
     bool quiescent() const;
@@ -146,7 +147,7 @@ class ConditionalStoreBuffer : public sim::Clocked,
     bool
     drained() const
     {
-        return outbox_.empty() && retryQueue_.empty() && inflight_ == 0;
+        return outbox_.empty() && port_.drained();
     }
 
     void tick() override;
@@ -212,16 +213,6 @@ class ConditionalStoreBuffer : public sim::Clocked,
         ValidMask valid;
     };
 
-    /** A NACKed flush chunk waiting out its backoff. */
-    struct RetryWrite
-    {
-        Addr addr = 0;
-        std::vector<std::uint8_t> data;
-        bool lastChunk = true;
-        unsigned attempt = 0;
-        Tick earliest = 0;
-    };
-
     void clearAccumulator();
 
     /** Escalate to degraded mode (idempotent while degraded). */
@@ -230,18 +221,21 @@ class ConditionalStoreBuffer : public sim::Clocked,
     /** Re-promote to burst mode after a clean streak. */
     void exitDegraded(Tick now);
 
-    /**
-     * Present one write to the bus.  The CSB keeps its own copy of the
-     * payload until the bus acknowledges delivery, so a NACKed chunk
-     * can be reissued byte-identically.
-     */
-    void issueWrite(Addr addr, std::vector<std::uint8_t> payload,
-                    bool last_chunk, unsigned attempt, bool from_outbox);
+    /** The head line leaves its line buffer with its last chunk. */
+    void
+    portStarted(std::uint64_t last_chunk) override
+    {
+        if (last_chunk)
+            outbox_.pop_front();
+    }
+    void portDone(std::uint64_t, Tick when,
+                  const std::vector<std::uint8_t> &) override;
+    void portNacked(std::uint64_t) override { cleanStreak_ = 0; }
+    bool portExhausted(std::uint64_t, Tick when) override;
 
     sim::Simulator &sim_;
     bus::SystemBus &bus_;
     CsbParams params_;
-    MasterId masterId_;
     /** Optional fault injector (not owned); null = no faults. */
     sim::FaultInjector *injector_ = nullptr;
 
@@ -258,14 +252,8 @@ class ConditionalStoreBuffer : public sim::Clocked,
     std::deque<OutLine> outbox_;
     /** Chunks of the partially-flushed head line (partialFlush mode). */
     std::deque<Chunk> headChunks_;
-    /**
-     * NACKed chunks awaiting reissue.  Serviced strictly before the
-     * outbox so a retried chunk is never overtaken by younger data
-     * from the same port.
-     */
-    std::deque<RetryWrite> retryQueue_;
-    bool presentPending_ = false;
-    unsigned inflight_ = 0;
+    /** Reissues NACKed chunks byte-identically, ahead of the outbox. */
+    bus::MasterPort port_;
 
     // Degraded-mode (PIO fallback) state, docs/FAULTS.md.
     bool degraded_ = false;

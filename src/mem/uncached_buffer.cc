@@ -1,5 +1,6 @@
 #include "uncached_buffer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -42,10 +43,14 @@ UncachedBuffer::UncachedBuffer(sim::Simulator &simulator,
                  "NACKed transactions reissued after backoff"),
       entryOccupancy(this, "entryOccupancy",
                      "stores combined per entry", 1, 16, 1),
-      sim_(simulator), bus_(bus), params_(params)
+      sim_(simulator), bus_(bus), params_(params),
+      port_(simulator, bus, *this, name + ".port", params.retry,
+            bus::Pacing::NextEdge,
+            {name + ": ", {"uncached load", "uncached store"},
+             {"load ", "store "}})
 {
     params_.validate();
-    masterId_ = bus_.registerMaster(name + ".port");
+    port_.countInto(busNacks, busRetries);
     simulator.registerClocked(this);
 }
 
@@ -162,8 +167,7 @@ UncachedBuffer::pushLoad(Addr addr, unsigned size, UncachedLoadCallback done)
 bool
 UncachedBuffer::empty() const
 {
-    return entries_.empty() && retries_.empty() &&
-           inflightStores_ == 0 && inflightLoads_ == 0;
+    return entries_.empty() && port_.drained();
 }
 
 void
@@ -180,38 +184,20 @@ UncachedBuffer::tick()
     // come back before the next one may issue: a NACK discovered at
     // completion would otherwise replay behind a younger neighbour,
     // reordering this port's strongly-ordered stream.
-    if ((inflightStores_ != 0 || inflightLoads_ != 0) &&
-        bus_.ordersMustSerialize()) {
+    if (port_.inflight() != 0 && bus_.ordersMustSerialize())
         return;
-    }
 
     // NACKed transactions reissue strictly before queued entries so
     // the port's access order is preserved.
-    if (!retries_.empty()) {
-        if (retryPresentPending_ || !bus_.masterIdle(masterId_))
-            return;
-        PendingRetry &head = retries_.front();
-        if (sim_.curTick() < head.earliest)
-            return;
-        if (!bus_.wouldAcceptAtNextEdge(masterId_,
-                                        /*strongly_ordered=*/true,
-                                        head.isWrite)) {
-            return;
-        }
-        PendingRetry redo = std::move(head);
-        retries_.pop_front();
-        issueRetry(std::move(redo));
+    if (port_.serviceRetries(sim_.curTick()))
         return;
-    }
 
-    if (entries_.empty())
+    if (entries_.empty() || !port_.canPresent())
         return;
     Entry &head = entries_.front();
-    if (head.presentPending || !bus_.masterIdle(masterId_))
-        return;
     // Keep the head entry open (combining) until the bus can actually
     // take its transaction at the next edge.
-    if (!bus_.wouldAcceptAtNextEdge(masterId_, /*strongly_ordered=*/true,
+    if (!bus_.wouldAcceptAtNextEdge(port_.id(), /*strongly_ordered=*/true,
                                     head.kind == Kind::Store)) {
         return;
     }
@@ -249,31 +235,10 @@ UncachedBuffer::presentHeadStore()
     }
 
     Chunk chunk = head.chunks[head.nextChunk];
-    std::vector<std::uint8_t> payload(chunk.size);
-    std::memcpy(payload.data(),
-                head.data.data() + (chunk.addr - head.addr), chunk.size);
-    std::vector<std::uint8_t> keep = payload;
-
-    bool accepted = bus_.requestWrite(
-        masterId_, chunk.addr, std::move(payload), /*strongly_ordered=*/true,
-        /*on_complete=*/
-        [this, addr = chunk.addr,
-         keep = std::move(keep)](Tick when,
-                                 bus::BusStatus status) mutable {
-            handleWriteStatus(addr, std::move(keep), /*attempt=*/0, when,
-                              status);
-        },
-        /*on_start=*/[this](Tick) {
-            Entry &started = entries_.front();
-            started.presentPending = false;
-            if (started.nextChunk == started.chunks.size())
-                entries_.pop_front();
-        });
-    csb_assert(accepted, "bus refused request despite idle master");
-
+    port_.presentWrite(chunk.addr,
+                       head.data.data() + (chunk.addr - head.addr),
+                       chunk.size, /*strongly_ordered=*/true, /*tag=*/0);
     ++head.nextChunk;
-    head.presentPending = true;
-    ++inflightStores_;
     ++txnsIssued;
 }
 
@@ -281,137 +246,43 @@ void
 UncachedBuffer::presentHeadLoad()
 {
     Entry &head = entries_.front();
-    bool accepted = bus_.requestRead(
-        masterId_, head.addr, head.size, /*strongly_ordered=*/true,
-        /*on_complete=*/
-        [this, addr = head.addr, size = head.size,
-         done = head.loadDone](Tick when, bus::BusStatus status,
-                               const std::vector<std::uint8_t> &data) {
-            handleReadStatus(addr, size, done, /*attempt=*/0, when,
-                             status, data);
-        },
-        /*on_start=*/[this](Tick) {
-            entries_.pop_front();
-        });
-    csb_assert(accepted, "bus refused request despite idle master");
-    head.presentPending = true;
-    ++inflightLoads_;
+    std::uint64_t tag = nextLoadTag_++;
+    loads_.emplace_back(tag, std::move(head.loadDone));
+    port_.presentRead(head.addr, head.size, /*strongly_ordered=*/true, tag);
     ++txnsIssued;
 }
 
 void
-UncachedBuffer::issueRetry(PendingRetry redo)
+UncachedBuffer::portStarted(std::uint64_t)
 {
-    if (redo.isWrite) {
-        std::vector<std::uint8_t> keep = redo.data;
-        bool accepted = bus_.requestWrite(
-            masterId_, redo.addr, std::move(redo.data),
-            /*strongly_ordered=*/true,
-            /*on_complete=*/
-            [this, addr = redo.addr, keep = std::move(keep),
-             attempt = redo.attempt](Tick when,
-                                     bus::BusStatus status) mutable {
-                handleWriteStatus(addr, std::move(keep), attempt, when,
-                                  status);
-            },
-            /*on_start=*/[this](Tick) { retryPresentPending_ = false; });
-        csb_assert(accepted, "bus refused retry despite idle master");
-        ++inflightStores_;
-    } else {
-        bool accepted = bus_.requestRead(
-            masterId_, redo.addr, redo.size, /*strongly_ordered=*/true,
-            /*on_complete=*/
-            [this, addr = redo.addr, size = redo.size,
-             done = std::move(redo.loadDone),
-             attempt = redo.attempt](Tick when, bus::BusStatus status,
-                                     const std::vector<std::uint8_t> &data) {
-                handleReadStatus(addr, size, done, attempt, when, status,
-                                 data);
-            },
-            /*on_start=*/[this](Tick) { retryPresentPending_ = false; });
-        csb_assert(accepted, "bus refused retry despite idle master");
-        ++inflightLoads_;
+    // A store entry leaves the buffer with its last chunk.
+    const Entry &started = entries_.front();
+    if (started.kind == Kind::Load ||
+        started.nextChunk == started.chunks.size()) {
+        entries_.pop_front();
     }
-    retryPresentPending_ = true;
 }
 
 void
-UncachedBuffer::handleWriteStatus(Addr addr,
-                                  std::vector<std::uint8_t> keep,
-                                  unsigned attempt, Tick when,
-                                  bus::BusStatus status)
+UncachedBuffer::portDone(std::uint64_t tag, Tick when,
+                         const std::vector<std::uint8_t> &data)
 {
-    csb_assert(inflightStores_ > 0, "store completion underflow");
-    --inflightStores_;
-    if (status == bus::BusStatus::Ok)
-        return;
-    if (status == bus::BusStatus::Error) {
-        csb_fatal(sim::Clocked::name(),
-                  ": bus error on uncached store at 0x", std::hex, addr);
-    }
-    busNacks += 1;
-    if (attempt + 1 >= params_.retry.maxAttempts) {
-        csb_fatal(sim::Clocked::name(), ": store retries exhausted (",
-                  params_.retry.maxAttempts, ") at 0x", std::hex, addr);
-    }
-    busRetries += 1;
-    PendingRetry redo;
-    redo.isWrite = true;
-    redo.addr = addr;
-    redo.size = static_cast<unsigned>(keep.size());
-    redo.data = std::move(keep);
-    redo.attempt = attempt + 1;
-    redo.earliest = when + params_.retry.backoffFor(attempt + 1);
-    retries_.push_back(std::move(redo));
-}
-
-void
-UncachedBuffer::handleReadStatus(Addr addr, unsigned size,
-                                 UncachedLoadCallback done,
-                                 unsigned attempt, Tick when,
-                                 bus::BusStatus status,
-                                 const std::vector<std::uint8_t> &data)
-{
-    csb_assert(inflightLoads_ > 0, "load completion underflow");
-    --inflightLoads_;
-    if (status == bus::BusStatus::Ok) {
-        if (done)
-            done(when, data);
-        return;
-    }
-    if (status == bus::BusStatus::Error) {
-        csb_fatal(sim::Clocked::name(),
-                  ": bus error on uncached load at 0x", std::hex, addr);
-    }
-    busNacks += 1;
-    if (attempt + 1 >= params_.retry.maxAttempts) {
-        csb_fatal(sim::Clocked::name(), ": load retries exhausted (",
-                  params_.retry.maxAttempts, ") at 0x", std::hex, addr);
-    }
-    busRetries += 1;
-    PendingRetry redo;
-    redo.isWrite = false;
-    redo.addr = addr;
-    redo.size = size;
-    redo.loadDone = std::move(done);
-    redo.attempt = attempt + 1;
-    redo.earliest = when + params_.retry.backoffFor(attempt + 1);
-    retries_.push_back(std::move(redo));
+    if (tag == 0)
+        return; // a store
+    auto it = std::find_if(loads_.begin(), loads_.end(),
+                           [tag](const auto &l) { return l.first == tag; });
+    csb_assert(it != loads_.end(), "load completion without a load");
+    UncachedLoadCallback done = std::move(it->second);
+    loads_.erase(it);
+    if (done)
+        done(when, data);
 }
 
 void
 UncachedBuffer::debugDump(std::ostream &os) const
 {
-    os << "entries=" << entries_.size() << " retries=" << retries_.size()
-       << " inflightStores=" << inflightStores_
-       << " inflightLoads=" << inflightLoads_;
-    if (!retries_.empty()) {
-        const PendingRetry &head = retries_.front();
-        os << "\n  retry head: " << (head.isWrite ? "store" : "load")
-           << " addr=0x" << std::hex << head.addr << std::dec
-           << " attempt=" << head.attempt << '/'
-           << params_.retry.maxAttempts << " earliest=" << head.earliest;
-    }
+    os << "entries=" << entries_.size();
+    port_.debugDump(os);
 }
 
 } // namespace csb::mem

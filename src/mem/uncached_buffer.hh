@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bus/retry.hh"
+#include "bus/master_port.hh"
 #include "bus/system_bus.hh"
 #include "decompose.hh"
 #include "sim/clocked.hh"
@@ -81,7 +81,9 @@ using UncachedLoadCallback =
 /**
  * FIFO buffer for uncached loads and stores with optional combining.
  */
-class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
+class UncachedBuffer : public sim::Clocked,
+                       public sim::stats::StatGroup,
+                       private bus::PortOwner
 {
   public:
     UncachedBuffer(sim::Simulator &simulator, bus::SystemBus &bus,
@@ -155,23 +157,9 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
          *  nextChunk on are still to be presented. */
         std::vector<Chunk> chunks;
         std::size_t nextChunk = 0;
-        /** A presented transaction has not started yet. */
-        bool presentPending = false;
         UncachedLoadCallback loadDone;
         /** Number of stores coalesced into this entry. */
         unsigned storeCount = 0;
-    };
-
-    /** A NACKed transaction waiting out its backoff. */
-    struct PendingRetry
-    {
-        bool isWrite = true;
-        Addr addr = 0;
-        unsigned size = 0;
-        std::vector<std::uint8_t> data; // writes only
-        UncachedLoadCallback loadDone;  // loads only
-        unsigned attempt = 0;
-        Tick earliest = 0;
     };
 
     /** Block size used for new store entries. */
@@ -184,34 +172,20 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
 
     void presentHeadStore();
     void presentHeadLoad();
-    void issueRetry(PendingRetry redo);
 
-    /** Shared write-completion handling (first issue and retries). */
-    void handleWriteStatus(Addr addr, std::vector<std::uint8_t> keep,
-                           unsigned attempt, Tick when,
-                           bus::BusStatus status);
-    /** Shared read-completion handling (first issue and retries). */
-    void handleReadStatus(Addr addr, unsigned size,
-                          UncachedLoadCallback done, unsigned attempt,
-                          Tick when, bus::BusStatus status,
-                          const std::vector<std::uint8_t> &data);
+    void portStarted(std::uint64_t tag) override;
+    void portDone(std::uint64_t tag, Tick when,
+                  const std::vector<std::uint8_t> &data) override;
 
     sim::Simulator &sim_;
     bus::SystemBus &bus_;
     UncachedBufferParams params_;
-    MasterId masterId_;
     std::deque<Entry> entries_;
-    /**
-     * NACKed transactions awaiting reissue; serviced strictly before
-     * entries_ so the port's access order is preserved.
-     */
-    std::deque<PendingRetry> retries_;
-    /** A reissued retry has been presented but not started. */
-    bool retryPresentPending_ = false;
-    /** Write transactions started but not completed. */
-    unsigned inflightStores_ = 0;
-    /** Read transactions started but not completed. */
-    unsigned inflightLoads_ = 0;
+    /** Loads presented and not yet answered, by port tag. */
+    std::vector<std::pair<std::uint64_t, UncachedLoadCallback>> loads_;
+    std::uint64_t nextLoadTag_ = 1;
+    /** The bus master; NACKed accesses re-present before entries_. */
+    bus::MasterPort port_;
 };
 
 } // namespace csb::mem

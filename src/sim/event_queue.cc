@@ -208,7 +208,14 @@ EventQueue::fire(Event *event)
     event->scheduled_ = false;
     event->seq_ = 0;
     ++numProcessed_;
-    event->process();
+    try {
+        event->process();
+    } catch (...) {
+        // A FatalError thrown by the callback must not strand it.
+        if (event->selfDeleting_ && !event->scheduled_)
+            recycleFunc(event);
+        throw;
+    }
     if (event->selfDeleting_ && !event->scheduled_)
         recycleFunc(event);
 }

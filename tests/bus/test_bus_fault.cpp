@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "bus/retry.hh"
+#include "bus/master_port.hh"
 #include "bus/system_bus.hh"
 #include "io/burst_device.hh"
 #include "sim/fault.hh"

@@ -14,13 +14,16 @@
  *
  * The access sequence is driven directly against the System's cache
  * hierarchy (not through a core program) so the eviction order is
- * deterministic; everything downstream -- the System's writeback
- * retry loop, the bus, the fault injector, MainMemory -- is the real
- * wiring.
+ * deterministic; everything downstream -- the System's cache-miss
+ * port, the bus, the fault injector, MainMemory -- is the real wiring.
+ *
+ * This binary counts heap allocations (alloc_counter.hh) to pin down
+ * that a System destroyed with a spill still retrying frees it.
  */
 
 #include <gtest/gtest.h>
 
+#include "../alloc_counter.hh"
 #include "core/system.hh"
 #include "sim/fault.hh"
 
@@ -50,9 +53,9 @@ nackStormConfig()
     return cfg;
 }
 
-/** Dirty line 0x8000, evict it, then store into it while it spills. */
+/** Dirty line 0x8000, then evict it: the spill presents a bus write. */
 void
-driveSpillRace(System &system)
+startSpill(System &system)
 {
     // Committed store: functional write + dirty tag (the same pair the
     // core's commitStore performs).
@@ -62,6 +65,13 @@ driveSpillRace(System &system)
     // Conflicting access evicts the dirty line; the spill presents a
     // bus write that the fault schedule NACKs.
     system.caches(0).accessLatency(0x8080, /*is_write=*/false);
+}
+
+/** Spill line 0x8000, then store into it while it spills. */
+void
+driveSpillRace(System &system)
+{
+    startSpill(system);
 
     // A later store to the spilled line commits while the spill is
     // still retrying.
@@ -110,6 +120,33 @@ TEST(WritebackNack, CleanSpillDoesNotClobberEither)
     EXPECT_GT(system.caches(0).l2().writebacks.value(), 0.0);
     EXPECT_EQ(system.memory().readT<std::uint64_t>(0x8000), 1u);
     EXPECT_EQ(system.memory().readT<std::uint64_t>(0x8008), 2u);
+}
+
+/**
+ * Spill into the NACK storm, run until the spill has been NACKed and
+ * is waiting out its backoff, and destroy the System there.
+ * @return true when the spill was still retrying at destruction
+ */
+bool
+destroyMidSpill()
+{
+    System system(nackStormConfig());
+    startSpill(system);
+    system.simulator().runFor(500);
+    return system.bus().numNacks.value() > 0 && !system.quiescent();
+}
+
+TEST(WritebackNack, SystemDestroyedMidSpillFreesTheSpill)
+{
+    // The first System interns trace channels and other process-wide
+    // state; only the second one's balance is measured.
+    ASSERT_TRUE(destroyMidSpill());
+    const long long before = test::liveAllocations();
+    const bool retrying = destroyMidSpill();
+    const long long leaked = test::liveAllocations() - before;
+    ASSERT_TRUE(retrying) << "the spill must still be in flight";
+    EXPECT_EQ(leaked, 0)
+        << "heap blocks of the in-flight spill outlived its System";
 }
 
 } // namespace
